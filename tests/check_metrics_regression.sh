@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
 # Metrics regression gate: replays the deterministic reference build and
 # diffs its metrics.json against the committed baseline at 0% tolerance
-# via `dnnd_cli stats --diff` (exit 3 on drift).
+# via `dnnd_cli stats --diff` (exit 3 on drift), then serves the query set
+# through the replicated distributed query service (4 ranks, replication
+# factor 2) over the built index and gates that run's query.metrics.json
+# the same way, so serving traffic (messages, bytes, evals per handler) is
+# pinned as tightly as build traffic.
 #
 # The reference run pins every source of nondeterminism:
 #   - synthetic fashion-mnist stand-in (seeded generator, fixed n)
@@ -18,8 +22,9 @@
 #   tests/check_metrics_regression.sh <build-dir>            # gate
 #   tests/check_metrics_regression.sh <build-dir> --regen    # refresh
 #
-# --regen rewrites tests/baselines/metrics.json from the current binary;
-# commit the result when an intentional algorithm change shifts counters.
+# --regen rewrites tests/baselines/metrics.json and
+# tests/baselines/query_metrics.json from the current binary; commit the
+# result when an intentional algorithm change shifts counters.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -28,6 +33,7 @@ build_dir=${1:?usage: tests/check_metrics_regression.sh <build-dir> [--regen]}
 regen=${2:-}
 cli="$build_dir/examples/dnnd_cli"
 baseline="tests/baselines/metrics.json"
+query_baseline="tests/baselines/query_metrics.json"
 
 if [[ ! -x "$cli" ]]; then
   echo "check_metrics_regression: $cli not built" >&2
@@ -40,18 +46,23 @@ trap 'rm -rf "$work"' EXIT
 export DNND_TRACE_SAMPLE_PERIOD=0
 "$cli" gen fashion-mnist "$work/ds" 400 20 >/dev/null
 "$cli" build "$work/ds.base.fvecs" "$work/run" 8 4 >/dev/null
+"$cli" query "$work/run" "$work/ds.query.fvecs" --serve 4 --replication 2 \
+  >/dev/null
 
 if [[ "$regen" == "--regen" ]]; then
   mkdir -p "$(dirname "$baseline")"
   cp "$work/run.metrics.json" "$baseline"
-  echo "check_metrics_regression: baseline rewritten at $baseline"
+  cp "$work/run.query.metrics.json" "$query_baseline"
+  echo "check_metrics_regression: baselines rewritten at $baseline and $query_baseline"
   exit 0
 fi
 
-if [[ ! -f "$baseline" ]]; then
-  echo "check_metrics_regression: no baseline at $baseline (run with --regen)" >&2
-  exit 1
-fi
+for b in "$baseline" "$query_baseline"; do
+  if [[ ! -f "$b" ]]; then
+    echo "check_metrics_regression: no baseline at $b (run with --regen)" >&2
+    exit 1
+  fi
+done
 
 echo "== metrics regression gate ($build_dir) =="
 # Deterministic counters gate at 0%; memory-ledger byte peaks gate at a
@@ -59,6 +70,10 @@ echo "== metrics regression gate ($build_dir) =="
 # a subsystem that doubles its footprint still fails). On OFF builds both
 # documents carry enabled:false and the mem.* comparison self-excludes.
 "$cli" stats --diff "$baseline" "$work/run.metrics.json" \
+  --tolerance 0 --mem-tolerance 25
+
+echo "== serving traffic gate ($build_dir) =="
+"$cli" stats --diff "$query_baseline" "$work/run.query.metrics.json" \
   --tolerance 0 --mem-tolerance 25
 
 # Smoke the memory report path: must render (or report telemetry-disabled)
