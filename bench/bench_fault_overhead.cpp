@@ -254,8 +254,8 @@ int main() {
   std::printf(
       "\nserve-rf2 must answer bit-identically to serve-rf1 (slot-0 routing "
       "is the\nhome rank, so replicas never change an answer — only who can "
-      "give it) and\nserve-rf1 must carry zero replica bytes: with "
-      "replication off the failover\nmachinery registers nothing, buffers "
-      "nothing, and sends nothing extra.\n");
+      "give it) and\nserve-rf1 must carry zero replica bytes: at "
+      "replication factor 1 the\nreplica map is the identity, so no shard "
+      "is mirrored and nothing extra is sent.\n");
   return 0;
 }

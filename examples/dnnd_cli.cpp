@@ -325,7 +325,7 @@ int cmd_build(int argc, char** argv) {
 struct QueryOptions {
   std::string gt_file;
   double epsilon = 0.2;
-  int serve_ranks = 0;  ///< 0 = legacy local searcher path
+  int serve_ranks = 0;  ///< 0 = shared-memory GraphSearcher, no ranks
   int replication = 1;
   std::vector<mpi::CrashFault> kills;
 };

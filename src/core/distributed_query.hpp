@@ -6,63 +6,55 @@
 // Mammoth's 2 TiB nodes, not in general at "massive scale" (the paper's
 // related work cites Pyramid for exactly this). This module keeps both
 // the adjacency and the features partitioned as DNND left them and runs
-// the §3.3 greedy search by message passing:
+// the §3.3 greedy search by message passing, surviving crash-stop rank
+// failures on the way:
 //
-//   submit     coordinator (hash of query index) seeds entry points by
-//              weighted-rank sampling: seed_req → owner picks a random
-//              local point, evaluates θ(q, ·), replies eval_reply
-//   expand     coordinator pops the frontier, asks owner(v) for v's row
-//              (row_req → row_reply), filters visited, groups the
-//              unvisited neighbors by owner and scatters eval_batch
-//              messages carrying the query vector; owners evaluate
-//              against local features and send eval_reply
+//   replicate  each shard (adjacency rows + features) lives on
+//              `replication_factor` ranks, per the ReplicaMap's
+//              chained-successor placement; slot 0 is the home rank.
+//              replication_factor = 1 is the identity map: every shard
+//              lives only on its home rank and nothing is exchanged.
+//   seed       the coordinator (query index round-robin over ranks) draws
+//              every entry point itself from a per-query rng, a fork of
+//              params.seed by query index: one weighted draw picks the
+//              home shard and the point index within it, and a seed_req
+//              asks a replica of that shard to evaluate θ(q, ·)
+//   expand     the coordinator pops the frontier, asks a replica of
+//              owner(v) for v's row (row_req → row_reply), filters
+//              visited, groups the unvisited neighbors by owner and
+//              scatters eval_batch sub-requests carrying the query
+//              vector; replicas evaluate against their copy of the shard
+//   merge      a step's candidates are merged in canonical (distance, id)
+//              order once its last reply lands, so the coordinator's
+//              state depends only on reply contents — not on which
+//              replica answered, in what order, or after what delay
 //   terminate  frontier empty or closest frontier entry beyond
 //              (1 + epsilon) · d_max — same rule as the shared-memory
 //              searcher
 //
-// Every query is a self-contained state machine on its coordinator rank;
-// progress is entirely handler-driven, so ONE quiescence barrier after
-// submission runs every in-flight query to completion. Queries proceed
-// concurrently across (and within) ranks, which is where a distributed
-// deployment gets its throughput — per-query latency pays two message
-// hops per expansion.
+// Every sub-request (seed / row / eval-batch) carries an idempotent
+// request id and the home shard it reads, and is routed to the first live
+// replica of that shard. On per-request timeout it is re-issued to the
+// next live replica with doubled timeout; one hedged duplicate goes out
+// early for stragglers. Replies are deduplicated by request id, so late or
+// hedged duplicates merge exactly once. When the failure detector declares
+// a rank dead, every pending sub-request aimed at it reroutes and future
+// routing skips it; when EVERY replica of a shard is dead the sub-request
+// is abandoned and the query completes in degraded mode with the best
+// reachable results and an explicit `coverage` fraction — it never hangs
+// and never throws. Because seeds depend only on params.seed and the
+// query index, a query resubmitted after its coordinator died reproduces
+// the same answer bit-for-bit.
 //
-// -- Replicated serving (ISSUE 10) --------------------------------------
-//
-// The legacy protocol above assumes every rank stays up. The *serving*
-// protocol layered underneath (opt-in via ServingConfig) tolerates
-// crash-stop failures during the query epoch:
-//
-//   * Each shard is mirrored onto `replication_factor` ranks per the
-//     ReplicaMap's chained-successor placement (a post-build replication
-//     exchange copies rows + features). Slot 0 is the home rank, so the
-//     fault-free route is identical to the legacy one.
-//   * Every sub-request (seed / row / eval-batch) carries an idempotent
-//     request id and a logical home shard. On per-request timeout it is
-//     re-issued to the next live replica with doubled timeout (the PR 1
-//     backoff shape); one hedged duplicate goes out early for
-//     stragglers. Replies are deduplicated by request id, so late or
-//     hedged duplicates merge exactly once.
-//   * When the failure detector declares a rank dead, every pending
-//     sub-request aimed at it reroutes immediately and future routing
-//     skips it. When EVERY replica of a shard is dead the sub-request is
-//     abandoned: the query completes in degraded mode with the best
-//     reachable results and an explicit `coverage` fraction — it never
-//     hangs and never throws.
-//   * Seed sampling moves to the coordinator: a per-query rng
-//     (fork of params.seed by query index) draws both the home shard and
-//     the index within it, so any replica answers identically and a
-//     query resubmitted after its coordinator died reproduces the same
-//     result bit-for-bit.
-//
-// With replication_factor == 1 and no ServingConfig the legacy code path
-// runs untouched: serving handlers and counters are registered lazily in
-// configure_serving(), so metrics exports and wire traffic are
-// byte-identical to the pre-serving build.
+// DistributedQueryService::run() drives all of this on the calling
+// thread, whatever the environment's driver: it submits every query, then
+// polls the live ranks round-robin (flush, deliver, detect failures, tick
+// the request clock) until every query has completed.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <queue>
 #include <span>
 #include <stdexcept>
@@ -85,11 +77,11 @@
 
 namespace dnnd::core {
 
-/// Knobs for the replicated serving path. Defaults are tuned against the
-/// simulated transport's tick clock: request timeouts well below the
-/// failure detector's 256-tick horizon so failover starts before the
-/// detector confirms the crash, and a query deadline that only fires as a
-/// last-resort liveness backstop.
+/// Knobs for the query protocol's replication and failover. Defaults are
+/// tuned against the simulated transport's tick clock: request timeouts
+/// well below the failure detector's 256-tick horizon so failover starts
+/// before the detector confirms the crash, and a query deadline that only
+/// fires as a last-resort liveness backstop.
 struct ServingConfig {
   /// Ranks holding each shard (chained successors). 1 = no replication.
   int replication_factor = 1;
@@ -117,10 +109,9 @@ struct ShardDraw {
 /// Draws a (shard, point-index) pair proportional to `weights`, skipping
 /// shards `alive` rejects. A single uniform draw yields both the shard
 /// and the index within it, so when nothing is dead the rng consumes
-/// exactly one value — the same stream the always-alive sampler reads,
-/// which keeps fault-free runs bit-identical. A draw landing on a dead
-/// shard is burned and redrawn (up to `redraw_limit` times), preserving
-/// the weighted distribution over the surviving shards.
+/// exactly one value per draw. A draw landing on a dead shard is burned
+/// and redrawn (up to `redraw_limit` times), preserving the weighted
+/// distribution over the surviving shards.
 template <typename Rng, typename AliveFn>
 ShardDraw sample_live_weighted_shard(Rng& rng,
                                      const std::vector<std::uint64_t>& weights,
@@ -144,7 +135,7 @@ ShardDraw sample_live_weighted_shard(Rng& rng,
 }
 
 /// One confirmed rank failure observed while serving queries — the
-/// structured context the CLI surfaces (satellite 2).
+/// structured context the CLI surfaces.
 struct RankFailureInfo {
   int failed_rank = -1;
   int detected_by = -1;
@@ -153,163 +144,137 @@ struct RankFailureInfo {
 };
 
 /// Per-rank half of the service. Construct one per rank (same order on
-/// every rank), attach the DNND shard, then drive via
+/// every rank), attach the rank's shard, then drive via
 /// DistributedQueryService.
 template <typename T, typename DistanceFn>
 class QueryEngineRank {
  public:
   QueryEngineRank(comm::Communicator& comm, DistanceFn distance,
-                  Partition partition, std::size_t threads = 1)
+                  Partition partition, const ServingConfig& config,
+                  std::size_t threads = 1)
       : comm_(&comm),
         distance_(std::move(distance)),
         partition_(std::move(partition)),
-        rng_(util::Xoshiro256(0x9e3779b9) .fork(
-            static_cast<std::uint64_t>(comm.rank()))),
-        pool_(threads == 0 ? 1 : threads) {
-    rank_dead_.assign(static_cast<std::size_t>(comm.size()), 0);
-    c_submitted_ = comm_->telemetry().counter("query.submitted");
-    c_completed_ = comm_->telemetry().counter("query.completed");
-    c_frontier_pops_ = comm_->telemetry().counter("query.frontier_pops");
-    c_distance_evals_ = comm_->telemetry().counter("query.distance_evals");
+        pool_(threads == 0 ? 1 : threads),
+        config_(config),
+        replica_map_(comm.size(), config.replication_factor),
+        shards_(static_cast<std::size_t>(comm.size())),
+        rank_dead_(static_cast<std::size_t>(comm.size()), 0) {
+    auto& tel = comm_->telemetry();
+    c_submitted_ = tel.counter("query.submitted");
+    c_completed_ = tel.counter("query.completed");
+    c_frontier_pops_ = tel.counter("query.frontier_pops");
+    c_distance_evals_ = tel.counter("query.distance_evals");
     // Pool tasks from handler-side batch evals: fixed decomposition, so
     // bit-identical across thread counts (schedule-shape counter,
     // excluded from the metrics-regression diff like engine.tasks).
-    c_tasks_ = comm_->telemetry().counter("query.tasks",
-                                          telemetry::MetricUnit::kSchedule);
-    pool_.set_telemetry(&comm_->telemetry(), c_tasks_);
-    h_evals_per_query_ =
-        comm_->telemetry().histogram("query.distance_evals_per_query");
+    c_tasks_ = tel.counter("query.tasks", telemetry::MetricUnit::kSchedule);
+    pool_.set_telemetry(&tel, c_tasks_);
+    h_evals_per_query_ = tel.histogram("query.distance_evals_per_query");
+    c_failover_reissues_ = tel.counter("query.failover.reissues");
+    c_failover_rerouted_ = tel.counter("query.failover.rerouted");
+    c_failover_abandoned_ = tel.counter("query.failover.abandoned");
+    c_failover_resubmitted_ = tel.counter("query.failover.resubmitted");
+    c_degraded_ = tel.counter("query.degraded.completed");
+    c_hedges_ = tel.counter("query.hedge.sent");
+    t_replica_features_ = tel.mem_tag("mem.replica.features");
+    t_replica_rows_ = tel.mem_tag("mem.replica.rows");
     register_handlers();
   }
 
   QueryEngineRank(const QueryEngineRank&) = delete;
   QueryEngineRank& operator=(const QueryEngineRank&) = delete;
 
-  /// Snapshots the rank's shard: adjacency rows (optimized if available)
-  /// and a pointer to its feature store.
+  /// Serves the engine's shard: snapshots its adjacency rows (optimized
+  /// if available) and borrows its feature store without copying it.
   void attach(DnndEngine<T, DistanceFn>& engine) {
-    rows_.clear();
+    Shard& own = own_shard();
+    own.rows.clear();
     if (!engine.optimized_rows().empty()) {
-      for (const auto& [v, row] : engine.optimized_rows()) rows_[v] = row;
+      for (const auto& [v, row] : engine.optimized_rows()) own.rows[v] = row;
     } else {
-      for (auto& [v, row] : engine.shard_rows()) rows_[v] = std::move(row);
+      for (auto& [v, row] : engine.shard_rows()) own.rows[v] = std::move(row);
     }
-    points_ = &engine.local_points();
+    own.points = &engine.local_points();
   }
 
-  /// Attaches a shard this engine owns outright (the serving-from-graph
-  /// path, where no DnndEngine survives to point into).
+  /// Serves a shard this engine owns outright (the serving-from-graph
+  /// path, where no DnndEngine survives to borrow from).
   void attach_shard(std::unordered_map<VertexId, std::vector<Neighbor>> rows,
                     FeatureStore<T> points) {
-    rows_ = std::move(rows);
-    owned_points_ = std::move(points);
-    points_ = &owned_points_;
+    Shard& own = own_shard();
+    own.rows = std::move(rows);
+    own.hold(std::move(points));
   }
 
+  /// Ranks holding each shard (the configured factor clamped to the
+  /// world size).
+  [[nodiscard]] int replication_factor() const noexcept {
+    return replica_map_.factor();
+  }
+
+  [[nodiscard]] std::uint64_t local_point_count() const noexcept {
+    const Shard& own = own_shard();
+    return own.points == nullptr ? 0 : own.points->size();
+  }
+
+  /// Point counts of every shard, indexed by home rank: seed draws are
+  /// weighted by them.
   void set_rank_weights(std::vector<std::uint64_t> counts) {
     rank_weights_ = std::move(counts);
     total_weight_ = 0;
     for (const auto w : rank_weights_) total_weight_ += w;
   }
 
-  /// Switches this engine into serving mode: registers the replicated
-  /// sub-request handlers, failover counters and replica memory-ledger
-  /// tags. Deliberately lazy — a legacy engine never calls this, so its
-  /// handler table, counters and wire bytes stay byte-identical to the
-  /// pre-serving build.
-  void configure_serving(const ServingConfig& config, ReplicaMap replica_map) {
-    serving_config_ = config;
-    replica_map_ = std::move(replica_map);
-    if (serving_) return;
-    serving_ = true;
-    c_failover_reissues_ =
-        comm_->telemetry().counter("query.failover.reissues");
-    c_failover_rerouted_ =
-        comm_->telemetry().counter("query.failover.rerouted");
-    c_failover_abandoned_ =
-        comm_->telemetry().counter("query.failover.abandoned");
-    c_failover_resubmitted_ =
-        comm_->telemetry().counter("query.failover.resubmitted");
-    c_degraded_ = comm_->telemetry().counter("query.degraded.completed");
-    c_hedges_ = comm_->telemetry().counter("query.hedge.sent");
-    t_replica_features_ = comm_->telemetry().mem_tag("mem.replica.features");
-    t_replica_rows_ = comm_->telemetry().mem_tag("mem.replica.rows");
-    register_serving_handlers();
-  }
-
-  [[nodiscard]] bool serving() const noexcept { return serving_; }
-
   /// Ships this rank's shard (features + adjacency rows) to its replica
-  /// successors. Call inside one phase on every rank after
-  /// configure_serving(); the quiescence barrier completes the exchange.
-  /// Features are re-inserted in home insertion order, so id_at() agrees
-  /// across replicas and any replica answers a seed_req identically.
+  /// successors. Call inside one phase on every rank; the quiescence
+  /// barrier completes the exchange. Features are re-inserted in home
+  /// insertion order, so id_at() agrees across replicas and any replica
+  /// answers a seed_req identically.
   void broadcast_shard_to_replicas() {
-    if (!serving_ || replica_map_.factor() <= 1) return;
+    if (replica_map_.factor() <= 1) return;
+    const Shard& own = own_shard();
     std::vector<VertexId> point_ids;
     std::vector<T> point_values;
-    if (points_ != nullptr) {
-      point_ids.reserve(points_->size());
-      for (std::size_t i = 0; i < points_->size(); ++i) {
-        point_ids.push_back(points_->id_at(i));
-        const auto row = points_->row(i);
+    if (own.points != nullptr) {
+      point_ids.reserve(own.points->size());
+      for (std::size_t i = 0; i < own.points->size(); ++i) {
+        point_ids.push_back(own.points->id_at(i));
+        const auto row = own.points->row(i);
         point_values.insert(point_values.end(), row.begin(), row.end());
       }
     }
     std::vector<VertexId> row_ids;
     std::vector<std::uint32_t> row_lens;
     std::vector<Neighbor> row_flat;
-    row_ids.reserve(rows_.size());
-    row_lens.reserve(rows_.size());
-    for (const auto& [v, row] : rows_) {
+    row_ids.reserve(own.rows.size());
+    row_lens.reserve(own.rows.size());
+    for (const auto& [v, row] : own.rows) {
       row_ids.push_back(v);
       row_lens.push_back(static_cast<std::uint32_t>(row.size()));
       row_flat.insert(row_flat.end(), row.begin(), row.end());
     }
     for (int slot = 1; slot < replica_map_.factor(); ++slot) {
-      comm_->async(replica_map_.replica(comm_->rank(), slot), h_s_replicate_,
+      comm_->async(replica_map_.replica(comm_->rank(), slot), h_replicate_,
                    static_cast<std::uint32_t>(comm_->rank()), point_ids,
                    point_values, row_ids, row_lens, row_flat);
     }
   }
 
-  /// Starts one query with this rank as coordinator. Call inside a phase;
-  /// results are complete after the phase's barrier.
+  /// Starts one query with this rank as coordinator. Seeds are drawn
+  /// here from a per-query rng (fork of params.seed by query index), so
+  /// the result does not depend on which rank coordinates or which
+  /// replica answers — the property that makes post-crash resubmission
+  /// bit-identical.
   void submit(std::uint64_t query_index, std::span<const T> query,
-              const SearchParams& params) {
+              const SearchParams& params, bool resubmitted = false) {
     const std::uint64_t qid = next_local_id_++;
     ActiveQuery& state = active_[qid];
     state.query_index = query_index;
     state.vector.assign(query.begin(), query.end());
     state.params = params;
     state.best = NeighborList(params.num_neighbors);
-
-    comm_->telemetry().add(c_submitted_);
-    const std::size_t entries =
-        params.num_entry_points > 0 ? params.num_entry_points
-                                    : params.num_neighbors;
-    // Seed: ask `entries` weighted-random ranks for one random local
-    // point each. Owners may return duplicates; the merge dedups.
-    state.outstanding = entries;
-    for (std::size_t e = 0; e < entries; ++e) {
-      comm_->async(sample_weighted_rank(), h_seed_req_, qid,
-                   static_cast<std::uint32_t>(comm_->rank()), state.vector);
-    }
-  }
-
-  /// Serving-mode submit: seeds are drawn coordinator-side from a
-  /// per-query rng (fork of params.seed by query index), so the result
-  /// does not depend on which rank coordinates or which replica answers —
-  /// the property that makes post-crash resubmission bit-identical.
-  void submit_serving(std::uint64_t query_index, std::span<const T> query,
-                      const SearchParams& params, bool resubmitted = false) {
-    const std::uint64_t qid = next_local_id_++;
-    ActiveQuery& state = active_[qid];
-    state.query_index = query_index;
-    state.vector.assign(query.begin(), query.end());
-    state.params = params;
-    state.best = NeighborList(params.num_neighbors);
-    state.started_tick = serving_tick_;
+    state.started_tick = tick_;
 
     comm_->telemetry().add(c_submitted_);
     if (resubmitted) comm_->telemetry().add(c_failover_resubmitted_);
@@ -321,7 +286,7 @@ class QueryEngineRank {
       const ShardDraw draw = sample_live_weighted_shard(
           qrng, rank_weights_, total_weight_,
           [this](int r) { return shard_alive(r); },
-          serving_config_.seed_redraw_limit);
+          config_.seed_redraw_limit);
       if (draw.home < 0) {
         ++state.sub_failed;
         comm_->telemetry().add(c_failover_abandoned_);
@@ -338,13 +303,12 @@ class QueryEngineRank {
   }
 
   /// Records that `rank` crashed (failure detector verdict or direct
-  /// knowledge). Legacy seed sampling skips it from now on; in serving
-  /// mode every pending sub-request aimed at it fails over immediately.
+  /// knowledge): every pending sub-request aimed at it fails over
+  /// immediately, and routing and seeding skip it from now on.
   void mark_rank_dead(int rank) {
     if (rank < 0 || static_cast<std::size_t>(rank) >= rank_dead_.size()) return;
     if (rank_dead_[static_cast<std::size_t>(rank)] != 0) return;
     rank_dead_[static_cast<std::size_t>(rank)] = 1;
-    if (!serving_) return;
     scratch_req_ids_.clear();
     for (const auto& [req_id, req] : pending_) {
       if (req.target == rank) scratch_req_ids_.push_back(req_id);
@@ -362,35 +326,29 @@ class QueryEngineRank {
       comm_->telemetry().add(c_failover_rerouted_);
       req.target = target;
       req.replica_slot = slot;
-      req.sent_tick = serving_tick_;
+      req.sent_tick = tick_;
       send_subrequest(req_id, req, target);
     }
   }
 
-  [[nodiscard]] bool rank_presumed_dead(int rank) const noexcept {
-    return rank_dead_[static_cast<std::size_t>(rank)] != 0;
-  }
-
-  /// One logical tick of the serving clock: drives hedging, per-request
+  /// One logical tick of the request clock: drives hedging, per-request
   /// timeouts with capped re-issue, and the per-query deadline. The
   /// driver calls this once per polling round, so like the transport's
   /// retransmit clock it advances deterministically under the sequential
   /// driver.
-  void tick_serving() {
-    if (!serving_) return;
-    ++serving_tick_;
+  void tick() {
+    ++tick_;
     if (pending_.empty()) return;
     scratch_req_ids_.clear();
     for (auto& [req_id, req] : pending_) {
       const ActiveQuery& state = active_.at(req.qid);
-      if (serving_tick_ - state.started_tick >
-          serving_config_.query_deadline_ticks) {
+      if (tick_ - state.started_tick > config_.query_deadline_ticks) {
         scratch_req_ids_.push_back(req_id);  // deadline: abandon
         continue;
       }
-      const std::uint64_t waited = serving_tick_ - req.sent_tick;
+      const std::uint64_t waited = tick_ - req.sent_tick;
       if (!req.hedged && req.resends == 0 &&
-          waited > serving_config_.hedge_after_ticks) {
+          waited > config_.hedge_after_ticks) {
         // One early duplicate to the next replica for stragglers. Same
         // req_id, so whichever reply lands first wins and the other is
         // dropped by the pending-map dedup.
@@ -407,7 +365,7 @@ class QueryEngineRank {
           scratch_req_ids_.push_back(req_id);  // every replica dead
           continue;
         }
-        if (req.resends < serving_config_.max_request_resends) {
+        if (req.resends < config_.max_request_resends) {
           ++req.resends;
           int slot = req.replica_slot + 1;
           const int target = pick_live_replica(req.home, slot, &slot);
@@ -415,10 +373,9 @@ class QueryEngineRank {
             comm_->telemetry().add(c_failover_reissues_);
             req.target = target;
             req.replica_slot = slot;
-            req.sent_tick = serving_tick_;
-            req.timeout_ticks =
-                std::min(req.timeout_ticks * 2,
-                         serving_config_.request_timeout_ticks * 8);
+            req.sent_tick = tick_;
+            req.timeout_ticks = std::min(req.timeout_ticks * 2,
+                                         config_.request_timeout_ticks * 8);
             send_subrequest(req_id, req, target);
           }
         }
@@ -451,7 +408,6 @@ class QueryEngineRank {
     std::unordered_set<VertexId> expanded;   ///< row already fetched
     std::size_t outstanding = 0;  ///< replies pending before the next step
     std::uint64_t distance_evals = 0;
-    // Serving-mode bookkeeping (unused on the legacy path).
     std::uint64_t sub_ok = 0;      ///< sub-requests answered
     std::uint64_t sub_failed = 0;  ///< sub-requests abandoned (dead shard)
     std::uint64_t started_tick = 0;
@@ -481,33 +437,25 @@ class QueryEngineRank {
     bool hedged = false;
   };
 
-  int sample_weighted_rank() {
-    // Never seed from a rank the failure detector declared dead
-    // (satellite 1): a dead owner would strand the query's outstanding
-    // counter. When nothing is dead this consumes exactly the same rng
-    // stream as the original always-alive sampler.
-    if (total_weight_ == 0) {
-      for (std::size_t attempt = 0;
-           attempt <= serving_config_.seed_redraw_limit; ++attempt) {
-        const int r = static_cast<int>(
-            rng_.uniform_below(static_cast<std::uint64_t>(comm_->size())));
-        if (rank_dead_[static_cast<std::size_t>(r)] == 0) return r;
-      }
-      return first_live_rank();
-    }
-    const ShardDraw draw = sample_live_weighted_shard(
-        rng_, rank_weights_, total_weight_,
-        [this](int r) { return rank_dead_[static_cast<std::size_t>(r)] == 0; },
-        serving_config_.seed_redraw_limit);
-    if (draw.home >= 0) return draw.home;
-    return first_live_rank();
-  }
+  /// One shard this rank serves: its own (home == rank) or a mirrored
+  /// replica. `points` either borrows a DnndEngine's store or points at
+  /// `owned`; it is null for shards this rank does not host.
+  struct Shard {
+    std::unordered_map<VertexId, std::vector<Neighbor>> rows;
+    const FeatureStore<T>* points = nullptr;
+    std::unique_ptr<FeatureStore<T>> owned;
 
-  [[nodiscard]] int first_live_rank() const {
-    for (int r = 0; r < comm_->size(); ++r) {
-      if (rank_dead_[static_cast<std::size_t>(r)] == 0) return r;
+    void hold(FeatureStore<T> store) {
+      owned = std::make_unique<FeatureStore<T>>(std::move(store));
+      points = owned.get();
     }
-    return comm_->size() - 1;
+  };
+
+  Shard& own_shard() {
+    return shards_[static_cast<std::size_t>(comm_->rank())];
+  }
+  const Shard& own_shard() const {
+    return shards_[static_cast<std::size_t>(comm_->rank())];
   }
 
   /// First live rank in `home`'s replica chain starting at `start_slot`
@@ -543,8 +491,8 @@ class QueryEngineRank {
     }
     req.target = target;
     req.replica_slot = slot;
-    req.sent_tick = serving_tick_;
-    req.timeout_ticks = serving_config_.request_timeout_ticks;
+    req.sent_tick = tick_;
+    req.timeout_ticks = config_.request_timeout_ticks;
     const std::uint64_t req_id = next_req_id_++;
     ++state.outstanding;
     send_subrequest(req_id, req, target);
@@ -559,15 +507,15 @@ class QueryEngineRank {
     const auto home = static_cast<std::uint32_t>(req.home);
     switch (req.kind) {
       case kSeedReq:
-        comm_->async(target, h_s_seed_req_, req.qid, req_id, coordinator, home,
+        comm_->async(target, h_seed_req_, req.qid, req_id, coordinator, home,
                      req.seed_index, state.vector);
         break;
       case kRowReq:
-        comm_->async(target, h_s_row_req_, req.qid, req_id, coordinator, home,
+        comm_->async(target, h_row_req_, req.qid, req_id, coordinator, home,
                      req.vertex);
         break;
       default:
-        comm_->async(target, h_s_eval_batch_, req.qid, req_id, coordinator,
+        comm_->async(target, h_eval_batch_, req.qid, req_id, coordinator,
                      home, state.vector, req.batch);
         break;
     }
@@ -590,13 +538,13 @@ class QueryEngineRank {
     complete_step_if_done(qid, state);
   }
 
-  /// Serving-mode candidate intake: replies from different shards (and
-  /// from failover re-sends) can interleave in any order, so candidates
-  /// are buffered per step and merged in canonical (distance, id) order
-  /// when the step's last reply lands. That makes the coordinator's state
-  /// a pure function of the step's reply *contents* — which replicas
-  /// answered, in what order, with what delays, all becomes invisible,
-  /// and a failover run stays bit-identical to the fault-free one.
+  /// Candidate intake: replies from different shards (and from failover
+  /// re-sends) can interleave in any order, so candidates are buffered
+  /// per step and merged in canonical (distance, id) order when the
+  /// step's last reply lands. That makes the coordinator's state a pure
+  /// function of the step's reply *contents* — which replicas answered,
+  /// in what order, with what delays, all becomes invisible, and a
+  /// failover run stays bit-identical to the fault-free one.
   void buffer_candidates(ActiveQuery& state, const std::vector<VertexId>& ids,
                          const std::vector<Dist>& dists) {
     for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -621,54 +569,14 @@ class QueryEngineRank {
       }
     }
     state.step_candidates.clear();
-    advance_serving(qid, state);
+    advance(qid, state);
   }
 
-  /// Merge one evaluated candidate into the query's heaps.
-  void merge_candidate(ActiveQuery& state, VertexId v, Dist d) {
-    ++state.distance_evals;
-    state.evaluated.insert(v);  // seeds arrive without a scatter step
-    const double slack = 1.0 + state.params.epsilon;
-    const Dist bound = state.best.furthest_distance();
-    if (static_cast<double>(d) < slack * static_cast<double>(bound)) {
-      state.frontier.emplace(d, v);
-      state.best.update(v, d, false);
-    }
-  }
-
-  /// Called when all outstanding replies for a query arrived: expand the
-  /// next frontier vertex or finish.
-  void advance(std::uint64_t qid, ActiveQuery& state) {
-    const double slack = 1.0 + state.params.epsilon;
-    while (!state.frontier.empty()) {
-      const auto [d, v] = state.frontier.top();
-      const Dist d_max = state.best.furthest_distance();
-      if (static_cast<double>(d) > slack * static_cast<double>(d_max)) break;
-      state.frontier.pop();
-      comm_->telemetry().add(c_frontier_pops_);
-      if (state.expanded.contains(v)) continue;
-      state.expanded.insert(v);
-      state.outstanding = 1;  // the row_reply
-      comm_->async(partition_.owner(v), h_row_req_, qid,
-                   static_cast<std::uint32_t>(comm_->rank()), v);
-      return;
-    }
-    // Done.
-    comm_->telemetry().add(c_completed_);
-    comm_->telemetry().record(h_evals_per_query_, state.distance_evals);
-    SearchResult result;
-    result.neighbors = state.best.sorted();
-    result.distance_evals = state.distance_evals;
-    result.visited = state.evaluated.size();
-    completed_.emplace(state.query_index, std::move(result));
-    active_.erase(qid);
-  }
-
-  /// Serving-mode advance: identical frontier discipline, but a vertex
+  /// Expands the next frontier vertex or finishes the query. A vertex
   /// whose shard has no live replica is *skipped* (counted failed) and
   /// the search continues over what is reachable — graceful degradation,
   /// not an error.
-  void advance_serving(std::uint64_t qid, ActiveQuery& state) {
+  void advance(std::uint64_t qid, ActiveQuery& state) {
     const double slack = 1.0 + state.params.epsilon;
     while (!state.frontier.empty()) {
       const auto [d, v] = state.frontier.top();
@@ -703,37 +611,19 @@ class QueryEngineRank {
     active_.erase(qid);
   }
 
-  /// Looks up the feature store serving shard `home` on this rank: the
-  /// rank's own store when home is local, else the mirrored copy.
-  const FeatureStore<T>* store_for_home(int home) const {
-    if (home == comm_->rank()) return points_;
-    const auto it = replica_points_.find(home);
-    return it == replica_points_.end() ? nullptr : &it->second;
-  }
-
-  const std::unordered_map<VertexId, std::vector<Neighbor>>* rows_for_home(
-      int home) const {
-    if (home == comm_->rank()) return &rows_;
-    const auto it = replica_rows_.find(home);
-    return it == replica_rows_.end() ? nullptr : &it->second;
-  }
-
-  /// One-query-vs-many evaluation against `store` (batched kernel when
-  /// the functor supports it; fixed kEvalGrain decomposition keeps the
-  /// reply bytes bit-identical across thread counts). The query vector is
-  /// already in scratch_.
+  /// Distances from the query vector (already in scratch_) to `ids`,
+  /// in `ids` order (batched kernel when the functor supports it; fixed
+  /// kEvalGrain decomposition keeps the reply bytes bit-identical across
+  /// thread counts).
   void evaluate_ids(const FeatureStore<T>& store,
                     const std::vector<VertexId>& ids,
-                    std::vector<std::pair<VertexId, Dist>>& pairs) {
-    pairs.reserve(ids.size());
+                    std::vector<Dist>& dists) {
+    dists.resize(ids.size());
     if constexpr (BatchDistance<DistanceFn, T>) {
       if (!ids.empty()) {
         std::vector<const T*> rows;
         rows.reserve(ids.size());
-        for (const VertexId w : ids) {
-          rows.push_back(store[w].data());
-        }
-        std::vector<Dist> dists(ids.size());
+        for (const VertexId w : ids) rows.push_back(store[w].data());
         pool_.for_blocks(
             ids.size(), kEvalGrain,
             [&](std::size_t, std::size_t begin, std::size_t end) {
@@ -742,115 +632,35 @@ class QueryEngineRank {
                               dists.data() + begin);
             },
             "query_eval");
-        for (std::size_t i = 0; i < ids.size(); ++i) {
-          pairs.emplace_back(ids[i], dists[i]);
-        }
       }
     } else {
-      for (const VertexId w : ids) {
-        pairs.emplace_back(w,
-                           distance_(std::span<const T>(scratch_), store[w]));
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        dists[i] = distance_(std::span<const T>(scratch_), store[ids[i]]);
       }
     }
     comm_->telemetry().add(c_distance_evals_, ids.size());
   }
 
+  /// Wire protocol. Every request carries (qid, req_id, coordinator,
+  /// home, payload); every reply carries (qid, req_id, data). The handler
+  /// resolves `home` in its shard table, so any rank in the replica chain
+  /// serves the same bytes. Replies dedup coordinator-side by req_id:
+  /// late answers after a reroute and the losing half of a hedged pair
+  /// both drop on the pending-map miss.
   void register_handlers() {
     h_seed_req_ = comm_->register_handler(
-        "q_seed_req", [this](int, serial::InArchive& ar) {
-          const auto qid = ar.read<std::uint64_t>();
-          const auto coordinator = ar.read<std::uint32_t>();
-          ar.read_into(scratch_);
-          // Evaluate one random local point against the query.
-          std::vector<std::pair<VertexId, Dist>> pairs;
-          if (points_ != nullptr && !points_->empty()) {
-            const VertexId u =
-                points_->id_at(rng_.uniform_below(points_->size()));
-            pairs.emplace_back(
-                u, distance_(std::span<const T>(scratch_), (*points_)[u]));
-            comm_->telemetry().add(c_distance_evals_);
-          }
-          send_eval_reply(static_cast<int>(coordinator), qid, pairs);
-        });
-    h_row_req_ = comm_->register_handler(
-        "q_row_req", [this](int, serial::InArchive& ar) {
-          const auto qid = ar.read<std::uint64_t>();
-          const auto coordinator = ar.read<std::uint32_t>();
-          const auto v = ar.read<VertexId>();
-          std::vector<VertexId> ids;
-          const auto it = rows_.find(v);
-          if (it != rows_.end()) {
-            ids.reserve(it->second.size());
-            for (const Neighbor& n : it->second) ids.push_back(n.id);
-          }
-          comm_->async(static_cast<int>(coordinator), h_row_reply_, qid, ids);
-        });
-    h_row_reply_ = comm_->register_handler(
-        "q_row_reply", [this](int, serial::InArchive& ar) {
-          const auto qid = ar.read<std::uint64_t>();
-          const auto ids = ar.read_vector<VertexId>();
-          auto& state = active_.at(qid);
-          --state.outstanding;
-          // Filter visited, group by owner, scatter evaluation batches.
-          std::unordered_map<int, std::vector<VertexId>> by_owner;
-          for (const VertexId w : ids) {
-            if (state.evaluated.contains(w)) continue;
-            state.evaluated.insert(w);
-            by_owner[partition_.owner(w)].push_back(w);
-          }
-          state.outstanding += by_owner.size();
-          for (auto& [owner, batch] : by_owner) {
-            comm_->async(owner, h_eval_batch_, qid,
-                         static_cast<std::uint32_t>(comm_->rank()),
-                         state.vector, batch);
-          }
-          if (state.outstanding == 0) advance(qid, state);
-        });
-    h_eval_batch_ = comm_->register_handler(
-        "q_eval_batch", [this](int, serial::InArchive& ar) {
-          const auto qid = ar.read<std::uint64_t>();
-          const auto coordinator = ar.read<std::uint32_t>();
-          ar.read_into(scratch_);
-          const auto ids = ar.read_vector<VertexId>();
-          std::vector<std::pair<VertexId, Dist>> pairs;
-          evaluate_ids(*points_, ids, pairs);
-          send_eval_reply(static_cast<int>(coordinator), qid, pairs);
-        });
-    h_eval_reply_ = comm_->register_handler(
-        "q_eval_reply", [this](int, serial::InArchive& ar) {
-          const auto qid = ar.read<std::uint64_t>();
-          const auto ids = ar.read_vector<VertexId>();
-          const auto dists = ar.read_vector<Dist>();
-          auto& state = active_.at(qid);
-          for (std::size_t i = 0; i < ids.size(); ++i) {
-            merge_candidate(state, ids[i], dists[i]);
-          }
-          --state.outstanding;
-          if (state.outstanding == 0) advance(qid, state);
-        });
-  }
-
-  /// Serving wire protocol. Every request carries (qid, req_id,
-  /// coordinator, home, payload); every reply carries (qid, req_id,
-  /// data). The handler resolves `home` against its own shard or a
-  /// mirrored replica, so any rank in the replica chain serves the same
-  /// bytes. Replies dedup coordinator-side by req_id: late answers after
-  /// a reroute and the losing half of a hedged pair both drop on the
-  /// pending-map miss.
-  void register_serving_handlers() {
-    h_s_seed_req_ = comm_->register_handler(
         "qs_seed_req", [this](int, serial::InArchive& ar) {
           const auto qid = ar.read<std::uint64_t>();
           const auto req_id = ar.read<std::uint64_t>();
           const auto coordinator = ar.read<std::uint32_t>();
-          const auto home = static_cast<int>(ar.read<std::uint32_t>());
+          const auto home = ar.read<std::uint32_t>();
           const auto seed_index = ar.read<std::uint64_t>();
           ar.read_into(scratch_);
           // The coordinator drew the index; every replica answers with
           // the same point (insertion order mirrors the home shard).
           std::vector<VertexId> ids;
           std::vector<Dist> dists;
-          const FeatureStore<T>* store = store_for_home(home);
+          const FeatureStore<T>* store = shards_[home].points;
           if (store != nullptr && !store->empty()) {
             const VertexId u = store->id_at(
                 static_cast<std::size_t>(seed_index) % store->size());
@@ -859,51 +669,43 @@ class QueryEngineRank {
                 distance_(std::span<const T>(scratch_), (*store)[u]));
             comm_->telemetry().add(c_distance_evals_);
           }
-          comm_->async(static_cast<int>(coordinator), h_s_eval_reply_, qid,
+          comm_->async(static_cast<int>(coordinator), h_eval_reply_, qid,
                        req_id, ids, dists);
         });
-    h_s_row_req_ = comm_->register_handler(
+    h_row_req_ = comm_->register_handler(
         "qs_row_req", [this](int, serial::InArchive& ar) {
           const auto qid = ar.read<std::uint64_t>();
           const auto req_id = ar.read<std::uint64_t>();
           const auto coordinator = ar.read<std::uint32_t>();
-          const auto home = static_cast<int>(ar.read<std::uint32_t>());
+          const auto home = ar.read<std::uint32_t>();
           const auto v = ar.read<VertexId>();
           std::vector<VertexId> ids;
-          const auto* rows = rows_for_home(home);
-          if (rows != nullptr) {
-            const auto it = rows->find(v);
-            if (it != rows->end()) {
-              ids.reserve(it->second.size());
-              for (const Neighbor& n : it->second) ids.push_back(n.id);
-            }
+          const auto& rows = shards_[home].rows;
+          if (const auto it = rows.find(v); it != rows.end()) {
+            ids.reserve(it->second.size());
+            for (const Neighbor& n : it->second) ids.push_back(n.id);
           }
-          comm_->async(static_cast<int>(coordinator), h_s_row_reply_, qid,
+          comm_->async(static_cast<int>(coordinator), h_row_reply_, qid,
                        req_id, ids);
         });
-    h_s_eval_batch_ = comm_->register_handler(
+    h_eval_batch_ = comm_->register_handler(
         "qs_eval_batch", [this](int, serial::InArchive& ar) {
           const auto qid = ar.read<std::uint64_t>();
           const auto req_id = ar.read<std::uint64_t>();
           const auto coordinator = ar.read<std::uint32_t>();
-          const auto home = static_cast<int>(ar.read<std::uint32_t>());
+          const auto home = ar.read<std::uint32_t>();
           ar.read_into(scratch_);
-          const auto ids = ar.read_vector<VertexId>();
-          std::vector<std::pair<VertexId, Dist>> pairs;
-          const FeatureStore<T>* store = store_for_home(home);
-          if (store != nullptr) evaluate_ids(*store, ids, pairs);
-          std::vector<VertexId> out_ids;
-          std::vector<Dist> out_dists;
-          out_ids.reserve(pairs.size());
-          out_dists.reserve(pairs.size());
-          for (const auto& [w, d] : pairs) {
-            out_ids.push_back(w);
-            out_dists.push_back(d);
+          auto ids = ar.read_vector<VertexId>();
+          std::vector<Dist> dists;
+          if (const FeatureStore<T>* store = shards_[home].points) {
+            evaluate_ids(*store, ids, dists);
+          } else {
+            ids.clear();  // shard not hosted here: answer empty
           }
-          comm_->async(static_cast<int>(coordinator), h_s_eval_reply_, qid,
-                       req_id, out_ids, out_dists);
+          comm_->async(static_cast<int>(coordinator), h_eval_reply_, qid,
+                       req_id, ids, dists);
         });
-    h_s_row_reply_ = comm_->register_handler(
+    h_row_reply_ = comm_->register_handler(
         "qs_row_reply", [this](int, serial::InArchive& ar) {
           const auto qid = ar.read<std::uint64_t>();
           const auto req_id = ar.read<std::uint64_t>();
@@ -930,7 +732,7 @@ class QueryEngineRank {
           }
           complete_step_if_done(qid, state);
         });
-    h_s_eval_reply_ = comm_->register_handler(
+    h_eval_reply_ = comm_->register_handler(
         "qs_eval_reply", [this](int, serial::InArchive& ar) {
           const auto qid = ar.read<std::uint64_t>();
           const auto req_id = ar.read<std::uint64_t>();
@@ -945,14 +747,15 @@ class QueryEngineRank {
           --state.outstanding;
           complete_step_if_done(qid, state);
         });
-    h_s_replicate_ = comm_->register_handler(
+    h_replicate_ = comm_->register_handler(
         "q_replicate", [this](int, serial::InArchive& ar) {
-          const auto home = static_cast<int>(ar.read<std::uint32_t>());
+          const auto home = ar.read<std::uint32_t>();
           const auto point_ids = ar.read_vector<VertexId>();
           const auto point_values = ar.read_vector<T>();
           const auto row_ids = ar.read_vector<VertexId>();
           const auto row_lens = ar.read_vector<std::uint32_t>();
           const auto row_flat = ar.read_vector<Neighbor>();
+          Shard& shard = shards_[home];
           FeatureStore<T> store;
           if (!point_ids.empty()) {
             const std::size_t dim = point_values.size() / point_ids.size();
@@ -961,14 +764,14 @@ class QueryEngineRank {
                         std::span<const T>(point_values.data() + i * dim, dim));
             }
           }
+          shard.hold(std::move(store));
           t_replica_features_.add(static_cast<std::int64_t>(
               point_values.size() * sizeof(T) +
               point_ids.size() * sizeof(VertexId)));
-          auto& rows = replica_rows_[home];
           std::size_t off = 0;
           for (std::size_t i = 0; i < row_ids.size(); ++i) {
             const std::size_t len = row_lens[i];
-            rows.emplace(
+            shard.rows.emplace(
                 row_ids[i],
                 std::vector<Neighbor>(
                     row_flat.begin() + static_cast<std::ptrdiff_t>(off),
@@ -978,21 +781,7 @@ class QueryEngineRank {
           t_replica_rows_.add(static_cast<std::int64_t>(
               row_flat.size() * sizeof(Neighbor) +
               row_ids.size() * sizeof(VertexId)));
-          replica_points_[home] = std::move(store);
         });
-  }
-
-  void send_eval_reply(int coordinator, std::uint64_t qid,
-                       const std::vector<std::pair<VertexId, Dist>>& pairs) {
-    std::vector<VertexId> ids;
-    std::vector<Dist> dists;
-    ids.reserve(pairs.size());
-    dists.reserve(pairs.size());
-    for (const auto& [w, d] : pairs) {
-      ids.push_back(w);
-      dists.push_back(d);
-    }
-    comm_->async(coordinator, h_eval_reply_, qid, ids, dists);
   }
 
   /// Grain for handler-side batched-eval tasks (fixed: the task count
@@ -1002,38 +791,27 @@ class QueryEngineRank {
   comm::Communicator* comm_;
   DistanceFn distance_;
   Partition partition_;
-  util::Xoshiro256 rng_;
   ThreadPool pool_;
+  ServingConfig config_;
+  ReplicaMap replica_map_;
 
-  std::unordered_map<VertexId, std::vector<Neighbor>> rows_;
-  const FeatureStore<T>* points_ = nullptr;
-  FeatureStore<T> owned_points_;  ///< attach_shard() storage
+  /// Every shard this rank serves, indexed by home rank.
+  std::vector<Shard> shards_;
   std::vector<std::uint64_t> rank_weights_;
   std::uint64_t total_weight_ = 0;
+  std::vector<char> rank_dead_;  ///< local liveness verdicts
 
   std::uint64_t next_local_id_ = 0;
   std::unordered_map<std::uint64_t, ActiveQuery> active_;
   std::unordered_map<std::uint64_t, SearchResult> completed_;
   std::vector<T> scratch_;
-
-  // -- serving state (inert until configure_serving()) -------------------
-  bool serving_ = false;
-  ServingConfig serving_config_;
-  ReplicaMap replica_map_;
-  std::vector<char> rank_dead_;  ///< local liveness verdicts
-  std::uint64_t serving_tick_ = 0;
+  std::uint64_t tick_ = 0;
   std::uint64_t next_req_id_ = 1;
   std::unordered_map<std::uint64_t, SubRequest> pending_;
   std::vector<std::uint64_t> scratch_req_ids_;
-  /// Mirrored shards, keyed by home rank.
-  std::unordered_map<int, FeatureStore<T>> replica_points_;
-  std::unordered_map<int, std::unordered_map<VertexId, std::vector<Neighbor>>>
-      replica_rows_;
 
-  comm::HandlerId h_seed_req_ = 0, h_row_req_ = 0, h_row_reply_ = 0;
-  comm::HandlerId h_eval_batch_ = 0, h_eval_reply_ = 0;
-  comm::HandlerId h_s_seed_req_ = 0, h_s_row_req_ = 0, h_s_eval_batch_ = 0;
-  comm::HandlerId h_s_row_reply_ = 0, h_s_eval_reply_ = 0, h_s_replicate_ = 0;
+  comm::HandlerId h_seed_req_ = 0, h_row_req_ = 0, h_eval_batch_ = 0;
+  comm::HandlerId h_row_reply_ = 0, h_eval_reply_ = 0, h_replicate_ = 0;
 
   telemetry::MetricId c_submitted_ = 0, c_completed_ = 0;
   telemetry::MetricId c_frontier_pops_ = 0, c_distance_evals_ = 0;
@@ -1046,44 +824,30 @@ class QueryEngineRank {
   telemetry::MemTag t_replica_rows_;
 };
 
-/// Front-end: binds per-rank query engines to a built DnndRunner and runs
+/// Front-end: binds one query engine per rank to a sharded index and runs
 /// query batches to completion.
 template <typename T, typename DistanceFn>
 class DistributedQueryService {
  public:
+  /// Serves the shards of a built DnndRunner in place: each engine
+  /// borrows its rank's feature store and snapshots its rows.
   DistributedQueryService(comm::Environment& env,
                           DnndRunner<T, DistanceFn>& runner,
-                          DistanceFn distance)
+                          DistanceFn distance, const ServingConfig& config = {})
       : env_(&env) {
-    ranks_.reserve(static_cast<std::size_t>(env.num_ranks()));
     const std::size_t threads =
         resolve_threads(runner.config().threads_per_rank);
     for (int r = 0; r < env.num_ranks(); ++r) {
-      ranks_.push_back(std::make_unique<QueryEngineRank<T, DistanceFn>>(
-          env.comm(r), distance, runner.partition(), threads));
+      add_rank(distance, runner.partition(), config, threads)
+          .attach(runner.engine(r));
     }
-    std::vector<std::uint64_t> counts;
-    counts.reserve(ranks_.size());
-    for (int r = 0; r < env.num_ranks(); ++r) {
-      ranks_[static_cast<std::size_t>(r)]->attach(runner.engine(r));
-      counts.push_back(runner.engine(r).local_point_count());
-    }
-    for (auto& rank : ranks_) rank->set_rank_weights(counts);
-  }
-
-  /// Serving-mode variant of the runner-backed constructor: same engines
-  /// plus the replicated failover protocol.
-  DistributedQueryService(comm::Environment& env,
-                          DnndRunner<T, DistanceFn>& runner,
-                          DistanceFn distance, const ServingConfig& config)
-      : DistributedQueryService(env, runner, std::move(distance)) {
-    configure_serving_all(config);
+    start();
   }
 
   /// Serving from a finished graph + feature set (no DnndRunner needed):
-  /// shards both by the hash partition, hands each engine its shard, and
-  /// runs the replication exchange. This is the "load index, serve
-  /// queries through failures" entry point the CLI uses.
+  /// shards both by the hash partition and hands each engine its shard.
+  /// This is the "load index, serve queries through failures" entry point
+  /// the CLI uses.
   DistributedQueryService(comm::Environment& env, const KnnGraph& graph,
                           const FeatureStore<T>& points, DistanceFn distance,
                           const ServingConfig& config, std::size_t threads = 0)
@@ -1104,22 +868,12 @@ class DistributedQueryService {
       rows[static_cast<std::size_t>(partition.owner(v))].emplace(
           v, std::vector<Neighbor>(row.begin(), row.end()));
     }
-    ranks_.reserve(nranks);
-    std::vector<std::uint64_t> counts;
-    counts.reserve(nranks);
-    for (int r = 0; r < env.num_ranks(); ++r) {
-      counts.push_back(stores[static_cast<std::size_t>(r)].size());
-      ranks_.push_back(std::make_unique<QueryEngineRank<T, DistanceFn>>(
-          env.comm(r), distance, partition, resolve_threads(threads)));
-      ranks_.back()->attach_shard(
-          std::move(rows[static_cast<std::size_t>(r)]),
-          std::move(stores[static_cast<std::size_t>(r)]));
+    for (std::size_t r = 0; r < nranks; ++r) {
+      add_rank(distance, partition, config, resolve_threads(threads))
+          .attach_shard(std::move(rows[r]), std::move(stores[r]));
     }
-    for (auto& rank : ranks_) rank->set_rank_weights(counts);
-    configure_serving_all(config);
+    start();
   }
-
-  [[nodiscard]] bool serving() const noexcept { return serving_; }
 
   /// Rank failures observed during run(); cleared at each run() start.
   [[nodiscard]] const std::vector<RankFailureInfo>& rank_failures()
@@ -1131,54 +885,18 @@ class DistributedQueryService {
     return *ranks_[static_cast<std::size_t>(r)];
   }
 
-  /// Runs all queries; queries are assigned to coordinator ranks
-  /// round-robin. Results are indexed like `queries`.
-  [[nodiscard]] std::vector<SearchResult> run(
-      const FeatureStore<T>& queries, const SearchParams& params) {
-    if (serving_) return run_serving(queries, params);
-    for (auto& rank : ranks_) rank->completed().clear();
-    const int nranks = env_->num_ranks();
-    env_->execute_phase([&](int r) {
-      const auto span = env_->telemetry(r).span("query_batch", "query");
-      for (std::size_t qi = static_cast<std::size_t>(r); qi < queries.size();
-           qi += static_cast<std::size_t>(nranks)) {
-        ranks_[static_cast<std::size_t>(r)]->submit(qi, queries.row(qi),
-                                                    params);
-      }
-    });
-    // The barrier above ran every query to completion: collect.
-    std::vector<SearchResult> results(queries.size());
-    for (auto& rank : ranks_) {
-      for (auto& [qi, result] : rank->completed()) {
-        results[qi] = std::move(result);
-      }
-    }
-    return results;
-  }
-
- private:
-  /// Switches every engine into serving mode and, when the factor is
-  /// above 1, runs the replication exchange under one quiescence barrier.
-  void configure_serving_all(const ServingConfig& config) {
-    serving_ = true;
-    serving_config_ = config;
-    replica_map_ = ReplicaMap(env_->num_ranks(), config.replication_factor);
-    for (auto& rank : ranks_) rank->configure_serving(config, replica_map_);
-    if (replica_map_.factor() > 1) {
-      env_->execute_phase([&](int r) {
-        ranks_[static_cast<std::size_t>(r)]->broadcast_shard_to_replicas();
-      });
-    }
-  }
-
-  /// Serving-mode run loop. execute_phase's quiescence barrier cannot
-  /// drive this: a crash strands submitted-counter debt by design, so the
-  /// world never goes quiescent again. Instead the service polls every
-  /// live rank round-robin — flush, deliver, detect, tick — translating
-  /// detector verdicts into protocol-level failover, until every query
-  /// completed (possibly degraded) or every rank died.
-  [[nodiscard]] std::vector<SearchResult> run_serving(
-      const FeatureStore<T>& queries, const SearchParams& params) {
+  /// Runs all queries to completion on the calling thread; queries are
+  /// assigned to coordinator ranks round-robin. Results are indexed like
+  /// `queries`.
+  ///
+  /// execute_phase's quiescence barrier cannot drive this: a crash
+  /// strands submitted-counter debt by design, so the world never goes
+  /// quiescent again. Instead run() polls every live rank round-robin —
+  /// flush, deliver, detect, tick — translating detector verdicts into
+  /// protocol-level failover, until every query completed (possibly
+  /// degraded) or every rank died.
+  [[nodiscard]] std::vector<SearchResult> run(const FeatureStore<T>& queries,
+                                              const SearchParams& params) {
     for (auto& rank : ranks_) rank->completed().clear();
     rank_failures_.clear();
     const int nranks = env_->num_ranks();
@@ -1221,8 +939,8 @@ class DistributedQueryService {
         if (engine(dead).completed().count(qi) != 0) continue;  // already done
         const int next = live[qi % live.size()];
         coordinator[qi] = next;
-        engine(next).submit_serving(qi, queries.row(qi), params,
-                                    /*resubmitted=*/true);
+        engine(next).submit(qi, queries.row(qi), params,
+                            /*resubmitted=*/true);
       }
     };
 
@@ -1233,7 +951,7 @@ class DistributedQueryService {
       const auto span = env_->telemetry(r).span("query_batch", "query");
       for (std::size_t qi = static_cast<std::size_t>(r); qi < queries.size();
            qi += static_cast<std::size_t>(nranks)) {
-        engine(r).submit_serving(qi, queries.row(qi), params);
+        engine(r).submit(qi, queries.row(qi), params);
       }
     }
 
@@ -1292,7 +1010,7 @@ class DistributedQueryService {
       for (int r = 0; r < nranks; ++r) {
         if (presumed_dead[static_cast<std::size_t>(r)] != 0) continue;
         if (!world.alive(r)) continue;
-        engine(r).tick_serving();
+        engine(r).tick();
       }
     }
 
@@ -1317,11 +1035,34 @@ class DistributedQueryService {
     return results;
   }
 
+ private:
+  QueryEngineRank<T, DistanceFn>& add_rank(const DistanceFn& distance,
+                                           const Partition& partition,
+                                           const ServingConfig& config,
+                                           std::size_t threads) {
+    const int r = static_cast<int>(ranks_.size());
+    ranks_.push_back(std::make_unique<QueryEngineRank<T, DistanceFn>>(
+        env_->comm(r), distance, partition, config, threads));
+    return *ranks_.back();
+  }
+
+  /// Hands every engine the per-shard point counts seeds are drawn by
+  /// and, when the replication factor is above 1, mirrors every shard
+  /// onto its replica successors under one quiescence barrier.
+  void start() {
+    std::vector<std::uint64_t> counts;
+    counts.reserve(ranks_.size());
+    for (const auto& rank : ranks_) counts.push_back(rank->local_point_count());
+    for (auto& rank : ranks_) rank->set_rank_weights(counts);
+    if (ranks_.front()->replication_factor() > 1) {
+      env_->execute_phase([&](int r) {
+        ranks_[static_cast<std::size_t>(r)]->broadcast_shard_to_replicas();
+      });
+    }
+  }
+
   comm::Environment* env_;
   std::vector<std::unique_ptr<QueryEngineRank<T, DistanceFn>>> ranks_;
-  bool serving_ = false;
-  ServingConfig serving_config_;
-  ReplicaMap replica_map_;
   std::vector<RankFailureInfo> rank_failures_;
 };
 

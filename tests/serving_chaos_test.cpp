@@ -14,13 +14,14 @@
 //      the run never hangs and never throws;
 //   4. hedged duplicates are bit-transparent: a config that hedges
 //      aggressively returns the same bytes as one that never hedges;
-//   5. the legacy (non-serving) path is untouched: no serving handlers,
-//      no failover counters in its metrics export, and dead-rank-aware
-//      seed sampling consumes the same rng stream when nothing is dead.
+//   5. a rank declared dead before the run is routed around from the
+//      first sub-request: with rf=2 it is never asked, and the answers
+//      are bit-identical to the fault-free run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "baselines/brute_force.hpp"
@@ -210,29 +211,6 @@ TEST(SeedSampling, AllDeadReturnsNoShard) {
   EXPECT_EQ(draw.home, -1);
 }
 
-TEST(SeedSampling, LegacyEngineNeverSeedsFromADeclaredDeadRank) {
-  // Legacy (non-serving) service; every rank has declared rank 3 dead.
-  // Seed requests must route around it — the query still completes
-  // because only *seeding* consults liveness on this path.
-  const Workload& w = workload();
-  Environment env(Config{.num_ranks = kRanks});
-  core::DnndConfig cfg;
-  cfg.k = kK;
-  core::DnndRunner<float, L2Fn> runner(env, cfg, L2Fn{});
-  runner.distribute(w.base);
-  runner.build();
-  core::DistributedQueryService<float, L2Fn> service(env, runner, L2Fn{});
-  for (int r = 0; r < kRanks; ++r) service.engine_rank(r).mark_rank_dead(3);
-  const auto results = service.run(w.queries, serving_params());
-  ASSERT_EQ(results.size(), kQ);
-  for (const auto& r : results) EXPECT_EQ(r.neighbors.size(), kK);
-  if constexpr (telemetry::kEnabled) {
-    EXPECT_EQ(env.telemetry(3).metrics().counter_value("comm.recv.q_seed_req"),
-              0u)
-        << "a seed request reached the rank everyone declared dead";
-  }
-}
-
 // -- fault-free serving: replication is invisible ------------------------
 
 TEST(ServingChaos, FaultFreeServesWithFullCoverage) {
@@ -393,31 +371,59 @@ TEST(ServingChaos, Rf2SurvivesOneDeathThenDegradesOnSecond) {
   EXPECT_GT(recall_of(results), 0.4);
 }
 
-// -- legacy path stays byte-identical ------------------------------------
+// -- a rank declared dead before the run ---------------------------------
 
-TEST(ServingChaos, LegacyServiceRegistersNoServingState) {
-  const Workload& w = workload();
-  Environment env(Config{.num_ranks = kRanks});
-  core::DnndConfig cfg;
-  cfg.k = kK;
-  core::DnndRunner<float, L2Fn> runner(env, cfg, L2Fn{});
-  runner.distribute(w.base);
-  runner.build();
-  core::DistributedQueryService<float, L2Fn> service(env, runner, L2Fn{});
-  EXPECT_FALSE(service.serving());
-  const auto results = service.run(w.queries, serving_params());
+/// Builds the DNND index over the workload on a fresh sequential-driver
+/// environment (deterministic, so two calls build identical shards).
+struct RunnerIndex {
+  Environment env{Config{.num_ranks = kRanks}};
+  core::DnndRunner<float, L2Fn> runner{env, runner_config(), L2Fn{}};
+
+  RunnerIndex() {
+    runner.distribute(workload().base);
+    runner.build();
+  }
+
+  static core::DnndConfig runner_config() {
+    core::DnndConfig cfg;
+    cfg.k = kK;
+    return cfg;
+  }
+};
+
+TEST(ServingChaos, RankDeclaredDeadBeforeRunIsRoutedAround) {
+  ServingConfig rf2;
+  rf2.replication_factor = 2;
+  RunnerIndex fault_free;
+  core::DistributedQueryService<float, L2Fn> reference_service(
+      fault_free.env, fault_free.runner, L2Fn{}, rf2);
+  const auto reference =
+      reference_service.run(workload().queries, serving_params());
+
+  // Every engine, rank 3's own included, has declared rank 3 dead. Its
+  // shard lives on in the replica at rank 0 (chain {3, 0}), and shard 2
+  // in its home copy (chain {2, 3}), so nothing should be lost.
+  RunnerIndex index;
+  core::DistributedQueryService<float, L2Fn> service(index.env, index.runner,
+                                                     L2Fn{}, rf2);
+  for (int r = 0; r < kRanks; ++r) service.engine_rank(r).mark_rank_dead(3);
+  const auto results = service.run(workload().queries, serving_params());
+
   ASSERT_EQ(results.size(), kQ);
+  for (const auto& r : results) EXPECT_DOUBLE_EQ(r.coverage, 1.0);
+  expect_bit_identical(results, reference);
   if constexpr (telemetry::kEnabled) {
-    const auto metrics = env.aggregate_metrics();
-    // Lazily registered serving machinery must be absent: same metric
-    // names, same handler recv counters, same bytes as the pre-serving
-    // build (the committed metrics baseline depends on this).
-    EXPECT_FALSE(metrics.contains("query.failover.reissues"));
-    EXPECT_FALSE(metrics.contains("query.degraded.completed"));
-    EXPECT_FALSE(metrics.contains("query.hedge.sent"));
-    EXPECT_FALSE(metrics.contains("comm.recv.qs_seed_req"));
-    EXPECT_FALSE(metrics.contains("comm.recv.q_replicate"));
-    EXPECT_FALSE(metrics.contains("mem.replica.features"));
+    // Rank 3 still coordinates its round-robin share of the queries, so
+    // replies to its own sub-requests reach it; no request may.
+    const auto& metrics = index.env.telemetry(3).metrics();
+    for (const char* label : {"qs_seed_req", "qs_row_req", "qs_eval_batch"}) {
+      EXPECT_EQ(metrics.counter_value(std::string("comm.recv.") + label), 0u)
+          << label << " reached the rank everyone declared dead";
+    }
+    EXPECT_GT(index.env.aggregate_metrics().counter_value(
+                  "comm.recv.qs_seed_req"),
+              0u)
+        << "the counter this test reads was never incremented";
   }
 }
 
