@@ -1,8 +1,11 @@
-// Memory-footprint bench: bytes per point, by subsystem, for the two
-// feature layouts (CSR FeatureStore vs padded DenseBlockStore) plus the
-// k-NN graph rows, measured through the memory ledger at n = 1e4 and
-// 1e5. The committed BENCH_memory.json snapshot is what EXPERIMENTS.md
-// quotes; regenerate with `./bench_memory` from the build directory.
+// Memory-footprint bench: bytes per point, by subsystem, for the CSR
+// FeatureStore plus the k-NN graph rows, measured through the memory
+// ledger at n = 1e4 and 1e5. The ledger charges the feature values, row
+// offsets and id->row index; the 8 B/pt id vector is untagged. Peak
+// includes the growth transients of stores filled without reserve();
+// current is the steady state after the last add(). The committed
+// BENCH_memory.json snapshot is what EXPERIMENTS.md quotes; regenerate
+// with `./bench_memory` from the build directory.
 //
 // The numbers are layout properties, not workload properties: values are
 // filled with a deterministic pattern because the footprint depends only
@@ -18,7 +21,6 @@ namespace {
 
 using dnnd::bench::BenchReport;
 using dnnd::core::FeatureStore;
-using dnnd::core::DenseBlockStore;
 using dnnd::core::NeighborList;
 using dnnd::core::VertexId;
 
@@ -40,15 +42,13 @@ struct Footprint {
 };
 
 /// Builds a store of `n` points plus `n` graph rows of capacity k, all
-/// charged against a fresh ledger, and reads the ledger back. `Store` is
-/// FeatureStore<float> (CSR) or DenseBlockStore<float> (padded dense).
-template <typename Store>
+/// charged against a fresh ledger, and reads the ledger back.
 Footprint measure(std::size_t n) {
   dnnd::telemetry::MemoryLedger ledger;
   const auto t_features = ledger.tag("mem.engine.features");
   const auto t_graph = ledger.tag("mem.engine.graph");
 
-  Store store;
+  FeatureStore<float> store;
   store.set_mem_tag(dnnd::telemetry::MemTag(&ledger, t_features));
   std::vector<NeighborList> graph;
   graph.reserve(n);
@@ -77,15 +77,17 @@ void report_layout(BenchReport& report, const char* layout, std::size_t n,
   row.metrics["features_peak_bytes"] = static_cast<double>(fp.features_peak);
   row.metrics["features_bytes_per_point"] =
       static_cast<double>(fp.features_peak) / dn;
+  row.metrics["features_current_bytes_per_point"] =
+      static_cast<double>(fp.features_current) / dn;
   row.metrics["graph_peak_bytes"] = static_cast<double>(fp.graph_peak);
   row.metrics["graph_bytes_per_point"] =
       static_cast<double>(fp.graph_peak) / dn;
   row.metrics["total_bytes_per_point"] =
       static_cast<double>(fp.features_peak + fp.graph_peak) / dn;
-  std::printf("  %-12s n=%-7zu features %8.1f B/pt (peak %10lld B)  "
-              "graph %6.1f B/pt  total %8.1f B/pt\n",
+  std::printf("  %-12s n=%-7zu features %8.1f B/pt peak, %8.1f B/pt "
+              "current  graph %6.1f B/pt  total %8.1f B/pt\n",
               layout, n, static_cast<double>(fp.features_peak) / dn,
-              static_cast<long long>(fp.features_peak),
+              static_cast<double>(fp.features_current) / dn,
               static_cast<double>(fp.graph_peak) / dn,
               static_cast<double>(fp.features_peak + fp.graph_peak) / dn);
 }
@@ -94,7 +96,7 @@ void report_layout(BenchReport& report, const char* layout, std::size_t n,
 
 int main() {
   dnnd::bench::print_header(
-      "memory footprint: bytes per point by subsystem and layout");
+      "memory footprint: bytes per point by subsystem");
   BenchReport report("memory");
   if constexpr (!dnnd::telemetry::kEnabled) {
     // MemTag compiles to a no-op under DNND_TELEMETRY=OFF, so the ledger
@@ -105,15 +107,10 @@ int main() {
     return 0;
   }
   for (const std::size_t n : {std::size_t{10'000}, std::size_t{100'000}}) {
-    const Footprint csr = measure<FeatureStore<float>>(n);
-    report_layout(report, "csr_fp32", n, csr);
-    const Footprint dense = measure<DenseBlockStore<float>>(n);
-    report_layout(report, "dense_fp32", n, dense);
-    dnnd::bench::print_rule();
+    report_layout(report, "csr_fp32", n, measure(n));
   }
-  std::printf("dense pads rows to the SIMD block width (stride %zu for dim "
-              "%zu); CSR carries offsets, ids and the id->row index.\n",
-              dnnd::core::DenseBlockStore<float>::padded(kDim), kDim);
+  std::printf("CSR charges values, offsets and the id->row index; the id "
+              "vector is untagged.\n");
   report.write("BENCH_memory.json");
   return 0;
 }

@@ -5,14 +5,18 @@
 // scaling (e.g. DEEP k10: 6.96 h @ 4 nodes → 1.84 h @ 16, 3.8x) that
 // flattens toward 32 nodes.
 //
-// Here: the same sweep over simulated ranks. Wall-clock on a single-core
-// host cannot show scaling, so the headline metric is *simulated parallel
-// time*: per barrier-delimited superstep, the maximum per-rank work
-// (distance evals weighted by dimension + bytes sent), summed over the
-// run — the quantity that the paper's wall time measures on real
-// hardware. Wall time and total distance evals are reported alongside.
+// Here: the same sweep over simulated ranks. The rank sweep runs every
+// rank in one process under the sequential driver, so its wall time
+// cannot show rank parallelism; its `sim-units` column is a cost *model*:
+// per barrier-delimited superstep, the maximum per-rank work (distance
+// evals weighted by dimension + bytes sent), summed over the run — what
+// the paper's wall time would track with one node per rank. Wall time is
+// reported alongside. The intra-rank thread sweep at the end is measured
+// wall clock (median of 3 builds per thread count), not a model.
 #include <algorithm>
 #include <bit>
+#include <thread>
+#include <vector>
 
 #include "common.hpp"
 
@@ -114,21 +118,20 @@ std::uint64_t graph_fingerprint(const core::KnnGraph& graph) {
   return h;
 }
 
-/// Intra-rank thread sweep (the tentpole's headline): one NN-Descent
-/// build per pool size, same seed. The host is single-core, so the
-/// scaling metric is the deterministic per-thread work ledger: eval
-/// tasks are charged round-robin to virtual threads in task order, and
-/// `sim-thread-units` is the busiest thread's charge (the parallel
-/// makespan analogue, same convention as sim-units above). The builds
-/// are bit-identical by construction — the fingerprint column proves it.
+/// Intra-rank thread sweep: NN-Descent builds per pool size, same seed,
+/// timed by wall clock. Each thread count runs kRepeats builds and reports
+/// the median (plus min/max as the noise band); the speedup is the
+/// 1-thread median over this count's median. The builds are bit-identical
+/// by construction — the fingerprint column proves it.
 template <typename T, typename Fn>
 void run_thread_sweep(const char* name, const core::FeatureStore<T>& base,
                       Fn fn, bench::BenchReport& report) {
-  std::printf("\n-- %s: intra-rank thread sweep (k=10) --\n", name);
-  std::printf("    %8s %16s %14s %10s %9s  %s\n", "threads",
-              "sim-thread-units", "ledger-evals", "wall[s]", "speedup",
-              "graph");
-  double base_units = 0;
+  constexpr int kRepeats = 3;
+  std::printf("\n-- %s: intra-rank thread sweep (k=10, median of %d) --\n",
+              name, kRepeats);
+  std::printf("    %8s %10s %10s %10s %9s  %s\n", "threads", "wall[s]",
+              "min[s]", "max[s]", "speedup", "graph");
+  double base_wall = 0;
   std::uint64_t base_print = 0;
   for (const std::size_t threads : {1UL, 2UL, 4UL, 8UL}) {
     core::NnDescentConfig cfg;
@@ -136,38 +139,40 @@ void run_thread_sweep(const char* name, const core::FeatureStore<T>& base,
     cfg.seed = 12;
     cfg.threads = threads;
     core::NnDescentStats stats;
-    util::Timer timer;
-    const auto graph = core::build_nn_descent(base, fn, cfg, &stats);
-    const double wall = timer.elapsed_s();
-
-    std::uint64_t busiest = 0, ledger = 0;
-    for (const std::uint64_t w : stats.thread_work) {
-      busiest = std::max(busiest, w);
-      ledger += w;
+    std::vector<double> walls;
+    std::uint64_t print = 0;
+    for (int rep = 0; rep < kRepeats; ++rep) {
+      util::Timer timer;
+      const auto graph = core::build_nn_descent(base, fn, cfg, &stats);
+      walls.push_back(timer.elapsed_s());
+      print = graph_fingerprint(graph);
     }
-    const double units =
-        static_cast<double>(busiest) * static_cast<double>(base.dim());
-    const std::uint64_t print = graph_fingerprint(graph);
-    if (base_units == 0) {
-      base_units = units;
+    std::sort(walls.begin(), walls.end());
+    const double wall = walls[walls.size() / 2];
+    if (base_wall == 0) {
+      base_wall = wall;
       base_print = print;
     }
     const bool identical = print == base_print;
-    std::printf("    %8zu %16.3e %14llu %10.2f %8.2fx  %s\n", threads, units,
-                static_cast<unsigned long long>(ledger), wall,
-                base_units / units, identical ? "bit-identical" : "DIVERGED");
+    std::printf("    %8zu %10.3f %10.3f %10.3f %8.2fx  %s\n", threads, wall,
+                walls.front(), walls.back(), base_wall / wall,
+                identical ? "bit-identical" : "DIVERGED");
     auto& row = report.add_row(std::string("dnnd_threads/") + name +
                                "/k10/threads" + std::to_string(threads));
     row.params["dataset"] = name;
     row.params["k"] = "10";
     row.params["threads"] = std::to_string(threads);
     row.params["n"] = std::to_string(base.size());
+    row.params["repeats"] = std::to_string(kRepeats);
+    row.params["hardware_threads"] =
+        std::to_string(std::thread::hardware_concurrency());
     row.params["graph_matches_1thread"] = identical ? "true" : "false";
-    row.metrics["sim_thread_units"] = units;
-    row.metrics["ledger_distance_evals"] = static_cast<double>(ledger);
+    row.metrics["distance_evals"] = static_cast<double>(stats.distance_evals);
     row.metrics["pool_tasks"] = static_cast<double>(stats.tasks);
     row.metrics["wall_s"] = wall;
-    row.metrics["speedup_vs_1thread"] = base_units / units;
+    row.metrics["wall_s_min"] = walls.front();
+    row.metrics["wall_s_max"] = walls.back();
+    row.metrics["wall_speedup_vs_1thread"] = base_wall / wall;
   }
 }
 
@@ -199,10 +204,11 @@ int main() {
   report.write("BENCH_scaling.json");
 
   std::printf(
-      "\nReading guide: 'speedup' is relative to the smallest rank count in "
-      "each row,\nas in Table 3 (paper k10 DEEP: 4->16 nodes = 3.8x; "
-      "16->32 only 1.2x).\nWall time on this single-core simulator does "
-      "not scale — sim-units is the\nhardware-independent analogue of the "
-      "paper's hours (EXPERIMENTS.md).\n");
+      "\nReading guide: the rank sweep's 'speedup' is a sim-units model "
+      "ratio relative to\nthe smallest rank count in each row, as in Table "
+      "3 (paper k10 DEEP: 4->16 nodes\n= 3.8x; 16->32 only 1.2x). Its ranks "
+      "share one process and run one after another,\nso their wall time "
+      "does not scale. The thread sweep's 'speedup' is measured wall\n"
+      "clock on this host (EXPERIMENTS.md).\n");
   return 0;
 }

@@ -1,7 +1,7 @@
 // dnnd_cli — file-based end-to-end tool, the shape of the paper's actual
 // executables (§5.1.3): dataset files in ANN-benchmark formats, a
-// persistent datastore between steps, and a query step that reads
-// features zero-copy out of the datastore.
+// persistent datastore between steps, and a query step that reopens the
+// datastore and searches the stored graph.
 //
 //   dnnd_cli gen   <dataset> <prefix> [n] [nq]
 //       synthesize a Table-1 stand-in: <prefix>.base.fvecs|u8bin,
@@ -319,7 +319,7 @@ int cmd_build(int argc, char** argv) {
 
 /// query's serving knobs: --serve N answers through the replicated
 /// distributed serving path on N simulated ranks instead of the local
-/// zero-copy searcher; --replication F mirrors each shard onto F ranks;
+/// shared-memory searcher; --replication F mirrors each shard onto F ranks;
 /// --kill R@T injects a crash-stop fault on rank R at tick T of the query
 /// epoch (repeatable) to demonstrate failover end to end.
 struct QueryOptions {
@@ -430,9 +430,8 @@ int query_typed(pmem::Manager& mgr, const core::FeatureStore<T>& queries,
   const auto meta = core::load_index_metadata(mgr);
   core::validate_index_metadata(meta, "L2", queries.dim());
   const auto graph = core::load_graph(mgr, "knng");
-  // Zero-copy feature access straight out of the mapping.
-  const core::PersistentFeatureView<T> view(mgr, "points");
-  core::GraphSearcher searcher(graph, view, Fn{});
+  const auto base = core::load_features<T>(mgr, "points");
+  const core::GraphSearcher<T, Fn> searcher(graph, base, Fn{});
   core::SearchParams params;
   params.num_neighbors = 10;
   params.epsilon = epsilon;

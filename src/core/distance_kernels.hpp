@@ -22,9 +22,10 @@
 // operations are plain IEEE mul/sub/add (no FMA contraction: the kernel
 // translation units are compiled with -ffp-contract=off), so the scalar
 // and SIMD paths execute the identical rounded operation sequence and
-// return bit-identical Dist values. Rows padded with zeros (see
-// DenseBlockStore) are covered by the same contract: a zero element
-// contributes an exact +0.0 to its lane, which never changes the sum.
+// return bit-identical Dist values. Rows padded with zeros are covered
+// by the same contract: a zero element contributes an exact +0.0 to its
+// lane, which never changes the sum. Rows need no alignment or padding:
+// the AVX2 kernels use unaligned loads and mask the tail.
 //
 // Because graph construction consumes only these values, a build is a
 // pure function of (dataset, seed, config) regardless of dispatch — the

@@ -12,9 +12,10 @@
 // Besides wall time, the runner accumulates a *simulated parallel time*:
 // for every barrier-delimited superstep it takes the maximum per-rank work
 // delta (distance evaluations weighted by feature length + bytes sent
-// weighted by a configurable cost). On a single-core host this is the
-// quantity that scales the way the paper's Figure 3 does — see DESIGN.md
-// §2 and EXPERIMENTS.md.
+// weighted by a configurable cost). It is a cost model: every rank runs in
+// one process, so wall time cannot show the paper's multi-node scaling,
+// and this is the quantity that scales the way its Figure 3 does — see
+// DESIGN.md §2 and EXPERIMENTS.md.
 #pragma once
 
 #include <cstdint>

@@ -13,8 +13,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
-#include <new>
 #include <span>
 #include <stdexcept>
 #include <unordered_map>
@@ -171,218 +169,6 @@ class FeatureStore {
       VertexId, std::size_t, std::hash<VertexId>, std::equal_to<VertexId>,
       telemetry::CountingAllocator<std::pair<const VertexId, std::size_t>>>
       index_;
-};
-
-/// Dense block layout for the SIMD distance kernels: rows live in one
-/// contiguous 64-byte-aligned allocation, each padded with zeros to a
-/// 64-byte multiple (16 floats / 64 uint8 — always a multiple of the
-/// kernels' 8-lane width). Zero padding is part of the kernel determinism
-/// contract (distance_kernels.hpp): a padded lane adds an exact +0.0, so
-/// evaluating `padded_dim()` elements is bit-identical to evaluating
-/// `dim()` — which lets kernels run whole aligned blocks with no masked
-/// tail. Row length is fixed at construction (or by the first add());
-/// variable-length sparse data stays in the CSR FeatureStore.
-///
-/// Exposes the FeatureStore read interface (operator[], row, row_ptr,
-/// id_at, ids, size, empty, dim), so GraphSearcher, the brute-force
-/// baselines, and the query paths accept either store.
-template <typename T>
-class DenseBlockStore {
- public:
-  using value_type = T;
-
-  static constexpr std::size_t kRowAlignBytes = 64;
-  static constexpr std::size_t kPadElements = kRowAlignBytes / sizeof(T);
-
-  /// Row stride (elements) for a logical dimension.
-  [[nodiscard]] static constexpr std::size_t padded(std::size_t dim) noexcept {
-    return (dim + kPadElements - 1) / kPadElements * kPadElements;
-  }
-
-  DenseBlockStore() = default;
-
-  // The aligned block is manually managed, so its ledger accounting is
-  // explicit (charge on reserve, discharge on free) rather than routed
-  // through CountingAllocator — which makes the store move-only with
-  // bespoke move members that keep the charge exactly once.
-  DenseBlockStore(const DenseBlockStore&) = delete;
-  DenseBlockStore& operator=(const DenseBlockStore&) = delete;
-  DenseBlockStore(DenseBlockStore&& other) noexcept
-      : dim_(other.dim_),
-        stride_(other.stride_),
-        dim_fixed_(other.dim_fixed_),
-        pending_rows_(other.pending_rows_),
-        capacity_rows_(other.capacity_rows_),
-        tag_(other.tag_),
-        block_(std::move(other.block_)),
-        ids_(std::move(other.ids_)),
-        index_(std::move(other.index_)) {
-    other.capacity_rows_ = 0;
-  }
-  DenseBlockStore& operator=(DenseBlockStore&& other) noexcept {
-    if (this != &other) {
-      tag_.sub(charged_bytes());
-      dim_ = other.dim_;
-      stride_ = other.stride_;
-      dim_fixed_ = other.dim_fixed_;
-      pending_rows_ = other.pending_rows_;
-      capacity_rows_ = other.capacity_rows_;
-      tag_ = other.tag_;
-      block_ = std::move(other.block_);
-      ids_ = std::move(other.ids_);
-      index_ = std::move(other.index_);
-      other.capacity_rows_ = 0;
-    }
-    return *this;
-  }
-  ~DenseBlockStore() { tag_.sub(charged_bytes()); }
-
-  /// Dense constructor: `n` rows of `dim` values, row-major, ids 0..n-1.
-  DenseBlockStore(std::size_t n, std::size_t dim, std::span<const T> values)
-      : dim_(dim), stride_(padded(dim)), dim_fixed_(true) {
-    if (values.size() != n * dim) {
-      throw std::invalid_argument("DenseBlockStore: values size != n*dim");
-    }
-    reserve(n);
-    ids_.reserve(n);
-    index_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto id = static_cast<VertexId>(i);
-      ids_.push_back(id);
-      index_.emplace(id, i);
-      copy_row(i, values.subspan(i * dim, dim));
-    }
-  }
-
-  /// Re-packs a uniform-row CSR store into the padded block layout.
-  [[nodiscard]] static DenseBlockStore from(const FeatureStore<T>& csr) {
-    DenseBlockStore out;
-    out.reserve(csr.size());
-    for (std::size_t i = 0; i < csr.size(); ++i) {
-      out.add(csr.id_at(i), csr.row(i));
-    }
-    return out;
-  }
-
-  /// Appends one point; the first add() fixes the row dimension.
-  void add(VertexId id, std::span<const T> feature) {
-    if (index_.contains(id)) {
-      throw std::invalid_argument("DenseBlockStore: duplicate id");
-    }
-    if (!dim_fixed_) {
-      dim_ = feature.size();
-      stride_ = padded(dim_);
-      dim_fixed_ = true;
-      if (pending_rows_ > 0) reserve(pending_rows_);
-    } else if (feature.size() != dim_) {
-      throw std::invalid_argument(
-          "DenseBlockStore: row length differs from store dimension");
-    }
-    if (ids_.size() == capacity_rows_) {
-      reserve(capacity_rows_ == 0 ? 16 : capacity_rows_ * 2);
-    }
-    const std::size_t i = ids_.size();
-    index_.emplace(id, i);
-    ids_.push_back(id);
-    copy_row(i, feature);
-  }
-
-  [[nodiscard]] bool contains(VertexId id) const { return index_.contains(id); }
-
-  /// Logical row (padding excluded) by id.
-  [[nodiscard]] std::span<const T> operator[](VertexId id) const {
-    const auto it = index_.find(id);
-    if (it == index_.end()) {
-      throw std::out_of_range("DenseBlockStore: unknown id");
-    }
-    return row(it->second);
-  }
-
-  [[nodiscard]] std::span<const T> row(std::size_t local_index) const {
-    return {row_ptr(local_index), dim_};
-  }
-
-  /// Bounds-checked 64-byte-aligned row pointer; the row is readable
-  /// through padded_dim() elements (padding lanes are zero).
-  [[nodiscard]] const T* row_ptr(std::size_t local_index) const {
-    if (local_index >= ids_.size()) {
-      throw std::out_of_range("DenseBlockStore: row index out of range");
-    }
-    return block_.get() + local_index * stride_;
-  }
-
-  [[nodiscard]] VertexId id_at(std::size_t local_index) const {
-    return ids_[local_index];
-  }
-  [[nodiscard]] const std::vector<VertexId>& ids() const noexcept {
-    return ids_;
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return ids_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return ids_.empty(); }
-  [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
-  /// Row stride in elements (the zero-padded kernel dimension).
-  [[nodiscard]] std::size_t padded_dim() const noexcept { return stride_; }
-
-  void reserve(std::size_t rows) {
-    // Until the first row fixes the stride there is nothing to size;
-    // remember the request and apply it then.
-    if (!dim_fixed_) {
-      pending_rows_ = std::max(pending_rows_, rows);
-      return;
-    }
-    if (rows <= capacity_rows_) return;
-    AlignedBlock grown = allocate(rows * stride_);
-    tag_.add(static_cast<std::int64_t>(rows * stride_ * sizeof(T)));
-    if (block_) {
-      std::copy(block_.get(), block_.get() + ids_.size() * stride_,
-                grown.get());
-    }
-    block_ = std::move(grown);  // old block freed here
-    tag_.sub(charged_bytes());
-    capacity_rows_ = rows;
-  }
-
-  /// Charges the padded block against a memory-ledger tag; any existing
-  /// capacity moves to the new tag immediately.
-  void set_mem_tag(telemetry::MemTag tag) {
-    tag_.sub(charged_bytes());
-    tag_ = tag;
-    tag_.add(charged_bytes());
-  }
-
- private:
-  [[nodiscard]] std::int64_t charged_bytes() const noexcept {
-    return static_cast<std::int64_t>(capacity_rows_ * stride_ * sizeof(T));
-  }
-
-  struct AlignedDelete {
-    void operator()(T* p) const {
-      ::operator delete[](p, std::align_val_t{kRowAlignBytes});
-    }
-  };
-  using AlignedBlock = std::unique_ptr<T[], AlignedDelete>;
-
-  [[nodiscard]] static AlignedBlock allocate(std::size_t elements) {
-    if (elements == 0) return {};
-    return AlignedBlock(static_cast<T*>(::operator new[](
-        elements * sizeof(T), std::align_val_t{kRowAlignBytes})));
-  }
-
-  void copy_row(std::size_t i, std::span<const T> feature) {
-    T* dst = block_.get() + i * stride_;
-    std::copy(feature.begin(), feature.end(), dst);
-    std::fill(dst + dim_, dst + stride_, T{});
-  }
-
-  std::size_t dim_ = 0;
-  std::size_t stride_ = 0;
-  bool dim_fixed_ = false;
-  std::size_t pending_rows_ = 0;
-  std::size_t capacity_rows_ = 0;
-  telemetry::MemTag tag_;
-  AlignedBlock block_;
-  std::vector<VertexId> ids_;
-  std::unordered_map<VertexId, std::size_t> index_;
 };
 
 }  // namespace dnnd::core

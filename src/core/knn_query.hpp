@@ -55,14 +55,10 @@ struct SearchResult {
   bool degraded = false;  ///< shorthand for coverage < 1
 };
 
-/// Store must expose the FeatureStore read interface (operator[](id),
-/// row(i), id_at(i), size(), empty()); FeatureStore<T> and
-/// PersistentFeatureView<T> both qualify — the latter queries straight
-/// out of a mapped datastore without loading it.
-template <typename T, typename DistanceFn, typename Store = FeatureStore<T>>
+template <typename T, typename DistanceFn>
 class GraphSearcher {
  public:
-  GraphSearcher(const KnnGraph& graph, const Store& points,
+  GraphSearcher(const KnnGraph& graph, const FeatureStore<T>& points,
                 DistanceFn distance)
       : graph_(&graph), points_(&points), distance_(std::move(distance)) {}
 
@@ -191,9 +187,8 @@ class GraphSearcher {
   }
 
   /// Runs all queries with `num_threads` workers (0 = hardware default).
-  template <typename QueryStore = FeatureStore<T>>
   [[nodiscard]] std::vector<SearchResult> batch_search(
-      const QueryStore& queries, const SearchParams& params,
+      const FeatureStore<T>& queries, const SearchParams& params,
       unsigned num_threads = 0) const {
     const std::size_t q = queries.size();
     std::vector<SearchResult> results(q);
@@ -228,15 +223,9 @@ class GraphSearcher {
   }
 
   const KnnGraph* graph_;
-  const Store* points_;
+  const FeatureStore<T>* points_;
   DistanceFn distance_;
   const RpForest<T>* forest_ = nullptr;
 };
-
-/// Deduction guide: GraphSearcher(graph, store, fn) infers T from the
-/// store's value type.
-template <typename Store, typename DistanceFn>
-GraphSearcher(const KnnGraph&, const Store&, DistanceFn)
-    -> GraphSearcher<typename Store::value_type, DistanceFn, Store>;
 
 }  // namespace dnnd::core

@@ -57,13 +57,6 @@ struct NnDescentStats {
   /// shape, asserted bit-identical across thread counts by the parity
   /// tests. 0 on the non-batch path.
   std::uint64_t tasks = 0;
-  /// Deterministic per-virtual-thread eval ledger: eval task t charges
-  /// its candidate count to slot (rotor++ % threads), in task order. On
-  /// this simulator's single-core host wall clock cannot show intra-rank
-  /// scaling, so sum/max of this ledger is the thread-scaling headline
-  /// (same convention as the simulated cost model in bench_scaling).
-  /// Invariant: sum == distance_evals on the batch path.
-  std::vector<std::uint64_t> thread_work;
 };
 
 /// DistanceFn: Dist(std::span<const T>, std::span<const T>).
@@ -82,7 +75,6 @@ class NnDescent {
     const std::size_t n = points_->size();
     util::Xoshiro256 rng(config_.seed);
     lists_.assign(n, NeighborList(config_.k));
-    stats_.thread_work.assign(pool_.threads(), 0);
 
     initialize(rng);
 
@@ -124,19 +116,6 @@ class NnDescent {
     pool_.for_blocks(items, grain, std::forward<Fn>(fn));
   }
 
-  /// Charges `units` of eval work to the next virtual thread (fixed
-  /// round-robin over task order — deterministic for any real pool size).
-  void charge_eval(std::uint64_t units) {
-    stats_.thread_work[work_rotor_++ % stats_.thread_work.size()] += units;
-  }
-
-  /// Charges each eval task of a block decomposition, in task order.
-  void charge_eval_blocks(std::size_t items, std::size_t grain) {
-    for (std::size_t b = 0; b < items; b += grain) {
-      charge_eval(b + grain < items ? grain : items - b);
-    }
-  }
-
   /// Lines 2–5: K random neighbors per vertex.
   void initialize(util::Xoshiro256& rng) {
     const std::size_t n = points_->size();
@@ -162,12 +141,6 @@ class NnDescent {
       // Stage 2 (parallel, slot = the vertex's own list): batch-eval each
       // vertex's partners and apply in draw order. Writes touch only
       // lists_[vi] — private to the task that owns block vi.
-      for (std::size_t b = 0; b < n; b += kVertexGrain) {
-        std::uint64_t units = 0;
-        const std::size_t e = b + kVertexGrain < n ? b + kVertexGrain : n;
-        for (std::size_t vi = b; vi < e; ++vi) units += drawn[vi].size();
-        charge_eval(units);
-      }
       run_blocks(n, kVertexGrain,
                  [&](std::size_t, std::size_t begin, std::size_t end) {
                    std::vector<const T*> rows;
@@ -332,7 +305,6 @@ class NnDescent {
           dists.resize(cand.size());
           const auto q = (*points_)[u1];
           stats_.distance_evals += cand.size();
-          charge_eval_blocks(cand.size(), kEvalGrain);
           // Batched eval (parallel, slot dists[b..e)): the kernel
           // contract makes out[i] a function of (q, rows[i]) alone, so
           // any split of the batch is bit-exact.
@@ -504,7 +476,6 @@ class NnDescent {
   StripedNeighborLocks locks_;
   std::vector<NeighborList> lists_;
   NnDescentStats stats_;
-  std::size_t work_rotor_ = 0;
 };
 
 /// Deduction-friendly helper.

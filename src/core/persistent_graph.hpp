@@ -162,10 +162,11 @@ void store_features(pmem::Manager& manager, const FeatureStore<T>& features,
 }
 
 /// Zero-copy read view over persistent features: serves feature spans
-/// straight out of the mapped file, so the query program touches only the
-/// pages it actually visits (the out-of-core mode §7 points at via
-/// DiskANN). Satisfies the same read interface as FeatureStore, so
-/// GraphSearcher works on it directly. Valid while the Manager stays open.
+/// straight out of the mapped file, so a reader touches only the pages it
+/// actually visits (the out-of-core mode §7 points at via DiskANN). Offers
+/// the FeatureStore lookups (operator[], row, id_at, size, dim); the
+/// searchers take a FeatureStore, so query paths load_features() instead.
+/// Valid while the Manager stays open.
 template <typename T>
 class PersistentFeatureView {
  public:

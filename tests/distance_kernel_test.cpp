@@ -3,16 +3,16 @@
 // The determinism contract (core/distance_kernels.hpp) says the scalar
 // reference and the AVX2 variants return bit-identical Dist values for
 // every input, that batch kernels match the single-pair kernels
-// element-for-element, and that DenseBlockStore's zero padding never
-// changes a distance. This suite proves each clause bit-for-bit (float
+// element-for-element, and that zero padding of a row never changes a
+// distance. This suite proves each clause bit-for-bit (float
 // compares are on the bit pattern, never EXPECT_FLOAT_EQ), then checks
 // the consequence the rest of the repo relies on: serial, brute-force,
 // searcher, and distributed builds come out byte-identical whichever
 // dispatch path executed.
 //
 // Also hosts the feature-store satellite tests (CSR empty/dense-ctor
-// edge cases, DenseBlockStore layout) and the dnnd.bench.v1 schema check
-// for the shared bench writer.
+// edge cases) and the dnnd.bench.v1 schema check for the shared bench
+// writer.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -140,13 +140,17 @@ TEST(KernelParity, ScalarVsSimdBitIdenticalU8) {
 
 // Zero padding is part of the contract: evaluating a row through its
 // zero-padded length returns the identical bits as the logical length.
+// Rows are padded to a 64-byte multiple (16 floats / 64 uint8), always a
+// whole number of the kernels' 8-lane blocks.
 template <typename T>
 void padding_sweep() {
+  constexpr std::size_t kPadElements = 64 / sizeof(T);
   util::Xoshiro256 rng(0xBEEF);
   for (std::size_t dim = 1; dim <= 130; ++dim) {
     const auto a = random_vec<T>(rng, dim);
     const auto b = random_vec<T>(rng, dim);
-    const std::size_t padded = core::DenseBlockStore<T>::padded(dim);
+    const std::size_t padded =
+        (dim + kPadElements - 1) / kPadElements * kPadElements;
     std::vector<T> ap(a), bp(b);
     ap.resize(padded, T{});
     bp.resize(padded, T{});
@@ -166,29 +170,6 @@ void padding_sweep() {
 TEST(KernelParity, PaddingLanesContributeZeroF32) { padding_sweep<float>(); }
 TEST(KernelParity, PaddingLanesContributeZeroU8) {
   padding_sweep<std::uint8_t>();
-}
-
-// Rows stored padded in a DenseBlockStore evaluate identically via
-// (row_ptr, padded_dim) and via the logical (row, dim) view.
-TEST(KernelParity, DenseBlockStoreRowsEvaluateIdenticallyPadded) {
-  util::Xoshiro256 rng(0xAB);
-  const std::size_t dim = 37;  // forces 27 floats of padding
-  core::DenseBlockStore<float> store;
-  std::vector<std::vector<float>> raw;
-  for (std::size_t i = 0; i < 8; ++i) {
-    raw.push_back(random_vec<float>(rng, dim));
-    store.add(static_cast<core::VertexId>(i), raw.back());
-  }
-  auto q = random_vec<float>(rng, dim);
-  std::vector<float> q_padded(q);
-  q_padded.resize(store.padded_dim(), 0.0f);
-  for (std::size_t i = 0; i < store.size(); ++i) {
-    const float logical = core::k_squared_l2(q.data(), raw[i].data(), dim);
-    const float via_pad = core::k_squared_l2(q_padded.data(),
-                                             store.row_ptr(i),
-                                             store.padded_dim());
-    EXPECT_EQ(bits(logical), bits(via_pad)) << "row " << i;
-  }
 }
 
 TEST(KernelParity, CosineZeroNormVectorIsMaximallyDistant) {
@@ -322,16 +303,6 @@ TEST(BuildBitIdentity, BruteForceGraphMatchesAcrossDispatchAndBatching) {
   }
 }
 
-TEST(BuildBitIdentity, BruteForceWorksOnDenseBlockStore) {
-  const auto csr = small_dataset(80, 99);
-  const auto blocked = core::DenseBlockStore<float>::from(csr);
-  const auto from_csr =
-      baselines::brute_force_knn_graph(csr, core::SquaredL2Kernel<float>{}, 5);
-  const auto from_blocked = baselines::brute_force_knn_graph(
-      blocked, core::SquaredL2Kernel<float>{}, 5);
-  EXPECT_EQ(from_csr, from_blocked);
-}
-
 TEST(BuildBitIdentity, GraphSearcherResultsMatchAcrossDispatch) {
   if (!simd_available()) GTEST_SKIP() << "AVX2 kernels unavailable";
   const auto points = small_dataset(250, 77);
@@ -435,80 +406,6 @@ TEST(FeatureStoreDense, RowPtrIsBoundsChecked) {
   EXPECT_THROW((void)store.row_ptr(2), std::out_of_range);
   core::FeatureStore<float> empty;
   EXPECT_THROW((void)empty.row_ptr(0), std::out_of_range);
-}
-
-// ---- DenseBlockStore layout --------------------------------------------
-
-TEST(DenseBlockStore, RowsAreAlignedPaddedAndZeroFilled) {
-  core::DenseBlockStore<float> store;
-  EXPECT_EQ(core::DenseBlockStore<float>::padded(1), 16u);
-  EXPECT_EQ(core::DenseBlockStore<float>::padded(16), 16u);
-  EXPECT_EQ(core::DenseBlockStore<float>::padded(17), 32u);
-  EXPECT_EQ(core::DenseBlockStore<std::uint8_t>::padded(65), 128u);
-  util::Xoshiro256 rng(3);
-  const std::size_t dim = 19;
-  for (std::size_t i = 0; i < 20; ++i) {
-    store.add(static_cast<core::VertexId>(i), random_vec<float>(rng, dim));
-  }
-  EXPECT_EQ(store.dim(), dim);
-  EXPECT_EQ(store.padded_dim(), 32u);
-  for (std::size_t i = 0; i < store.size(); ++i) {
-    const float* p = store.row_ptr(i);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) %
-                  core::DenseBlockStore<float>::kRowAlignBytes,
-              0u)
-        << "row " << i;
-    for (std::size_t j = dim; j < store.padded_dim(); ++j) {
-      EXPECT_EQ(p[j], 0.0f) << "row " << i << " pad " << j;
-    }
-  }
-}
-
-TEST(DenseBlockStore, FromCsrPreservesIdsAndValues) {
-  core::FeatureStore<float> csr;
-  csr.add(5, std::vector<float>{1, 2, 3});
-  csr.add(9, std::vector<float>{4, 5, 6});
-  const auto blocked = core::DenseBlockStore<float>::from(csr);
-  ASSERT_EQ(blocked.size(), 2u);
-  EXPECT_EQ(blocked.ids(), csr.ids());
-  EXPECT_TRUE(blocked.contains(9));
-  EXPECT_EQ(blocked[9][2], 6.0f);
-  EXPECT_EQ(blocked.row(0).size(), 3u);
-}
-
-TEST(DenseBlockStore, DenseConstructorAndAddAfter) {
-  core::DenseBlockStore<float> store(2, 3, std::vector<float>{1, 2, 3, 4, 5, 6});
-  ASSERT_EQ(store.size(), 2u);
-  store.add(17, std::vector<float>{7, 8, 9});
-  EXPECT_EQ(store[17][0], 7.0f);
-  // Dimension was fixed by the constructor even for n == 0.
-  core::DenseBlockStore<float> empty(0, 4, {});
-  EXPECT_TRUE(empty.empty());
-  EXPECT_EQ(empty.dim(), 4u);
-  EXPECT_THROW(empty.add(0, std::vector<float>{1}), std::invalid_argument);
-}
-
-TEST(DenseBlockStore, RejectsDuplicatesWrongLengthsAndBadIndices) {
-  core::DenseBlockStore<float> store;
-  store.add(1, std::vector<float>{1, 2});
-  EXPECT_THROW(store.add(1, std::vector<float>{3, 4}), std::invalid_argument);
-  EXPECT_THROW(store.add(2, std::vector<float>{1, 2, 3}),
-               std::invalid_argument);
-  EXPECT_THROW((void)store.row_ptr(1), std::out_of_range);
-  EXPECT_THROW((void)store[42], std::out_of_range);
-}
-
-TEST(DenseBlockStore, ReserveBeforeFirstAddIsDeferredSafely) {
-  core::DenseBlockStore<float> store;
-  store.reserve(100);  // dim unknown: must not allocate a zero-stride block
-  store.add(0, std::vector<float>{1, 2, 3});
-  ASSERT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.row(0)[2], 3.0f);
-  for (core::VertexId id = 1; id < 100; ++id) {
-    store.add(id, std::vector<float>{float(id), 0, 0});
-  }
-  EXPECT_EQ(store.size(), 100u);
-  EXPECT_EQ(store[99][0], 99.0f);
 }
 
 // ---- bench writer schema ------------------------------------------------

@@ -3,7 +3,7 @@
 // the CAS-max peak loop), cross-rank merge associativity, the
 // CountingAllocator container contract (including the retag() trick that
 // relies on propagate_on_container_copy_assignment = false), subsystem
-// accounting through FeatureStore / DenseBlockStore / NeighborList, and
+// accounting through FeatureStore / NeighborList, and
 // the ledger-vs-RSS sanity bound against /proc ground truth.
 //
 // MemoryLedger and CountingAllocator are compiled in both
@@ -230,30 +230,6 @@ TEST(SubsystemAccounting, FeatureStoreChargesValuesOffsetsAndIndex) {
   } else {
     EXPECT_EQ(ledger.current_bytes("mem.features"), 0);
   }
-}
-
-TEST(SubsystemAccounting, DenseBlockStoreBalancesAcrossMoveAndDestroy) {
-  MemoryLedger ledger;
-  const MemTag tag(&ledger, ledger.tag("mem.dense"));
-  {
-    dnnd::core::DenseBlockStore<float> store;
-    store.set_mem_tag(tag);
-    const std::vector<float> row(20, 2.0f);
-    for (std::uint64_t id = 0; id < 50; ++id) store.add(id, row);
-    if constexpr (dnnd::telemetry::kEnabled) {
-      EXPECT_GE(ledger.current_bytes("mem.dense"),
-                static_cast<std::int64_t>(50 * 20 * sizeof(float)));
-    }
-    // Move: exactly one owner charges at any time.
-    dnnd::core::DenseBlockStore<float> moved = std::move(store);
-    const auto after_move = ledger.current_bytes("mem.dense");
-    if constexpr (dnnd::telemetry::kEnabled) {
-      EXPECT_GE(after_move,
-                static_cast<std::int64_t>(50 * 20 * sizeof(float)));
-    }
-    EXPECT_EQ(moved.size(), 50u);
-  }
-  EXPECT_EQ(ledger.current_bytes("mem.dense"), 0);  // destructor discharges
 }
 
 TEST(SubsystemAccounting, NeighborListChargesItsHeap) {

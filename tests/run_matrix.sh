@@ -2,7 +2,8 @@
 # Build-matrix driver: configures and builds the repo in every supported
 # configuration and runs the tier-1 suite in each. Today's matrix:
 #
-#   default        DNND_TELEMETRY=ON  (the normal build)
+#   default        DNND_TELEMETRY=ON  (the normal build; also runs a short
+#                  e2ebench build-1r smoke that must report correct: true)
 #   telemetry-off  DNND_TELEMETRY=OFF (instrumentation compiled to no-ops;
 #                  proves the facade keeps the same API surface and that
 #                  no test silently depends on telemetry being recorded)
@@ -97,6 +98,22 @@ for name in "${selected[@]}"; do
   # DNND_THREADS_PER_RANK=4: threading may not move a single counter.
   # shellcheck disable=SC2086
   env ${run_env[$name]:-} tests/check_metrics_regression.sh "$build_dir"
+  # End-to-end benchmark smoke (default leg only): e2ebench/ builds its own
+  # Release tree (.bench_build/) against src/ and calls the library API
+  # directly, so an API change that breaks it fails here rather than in
+  # the benchmark pipeline. The run must exit 0 and report correct: true.
+  if [[ "$name" == default ]]; then
+    python3 e2ebench/run.py --workload build-1r --seed 1 --seconds 3 \
+        --trace 0 > "$build_dir/e2ebench_smoke.out"
+    python3 - "$build_dir/e2ebench_smoke.out" <<'PY'
+import json, sys
+lines = open(sys.argv[1]).read().strip().splitlines()
+result = json.loads(lines[-1]) if lines else {}
+if result.get("correct") is not True:
+    sys.exit(f"e2ebench smoke: correct is {result.get('correct')!r}")
+print("e2ebench smoke: correct")
+PY
+  fi
 done
 
 echo "==== matrix passed: ${selected[*]} ===="

@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <map>
-#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
@@ -167,15 +166,6 @@ TEST_P(SerialThreadParity, BitIdenticalToSingleThread) {
   // Schedule shape: the task decomposition depends on the work size only.
   EXPECT_EQ(run.stats.tasks, ref.stats.tasks);
   EXPECT_GT(run.stats.tasks, 0u);
-
-  // The eval ledger redistributes (round-robin) but conserves work.
-  EXPECT_EQ(run.stats.thread_work.size(), threads);
-  const std::uint64_t ledger = std::accumulate(
-      run.stats.thread_work.begin(), run.stats.thread_work.end(),
-      std::uint64_t{0});
-  EXPECT_EQ(ledger, run.stats.distance_evals);
-  ASSERT_EQ(ref.stats.thread_work.size(), 1u);
-  EXPECT_EQ(ref.stats.thread_work[0], ref.stats.distance_evals);
 }
 
 INSTANTIATE_TEST_SUITE_P(
