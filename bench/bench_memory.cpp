@@ -1,7 +1,7 @@
 // Memory-footprint bench: bytes per point, by subsystem, for the CSR
 // FeatureStore plus the k-NN graph rows, measured through the memory
 // ledger at n = 1e4 and 1e5. The ledger charges the feature values, row
-// offsets and id->row index; the 8 B/pt id vector is untagged. Peak
+// offsets, ids and id->row index. Peak
 // includes the growth transients of stores filled without reserve();
 // current is the steady state after the last add(). The committed
 // BENCH_memory.json snapshot is what EXPERIMENTS.md quotes; regenerate
@@ -109,8 +109,7 @@ int main() {
   for (const std::size_t n : {std::size_t{10'000}, std::size_t{100'000}}) {
     report_layout(report, "csr_fp32", n, measure(n));
   }
-  std::printf("CSR charges values, offsets and the id->row index; the id "
-              "vector is untagged.\n");
+  std::printf("CSR charges values, offsets, ids and the id->row index.\n");
   report.write("BENCH_memory.json");
   return 0;
 }

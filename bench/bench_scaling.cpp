@@ -167,6 +167,10 @@ void run_thread_sweep(const char* name, const core::FeatureStore<T>& base,
     row.params["hardware_threads"] =
         std::to_string(std::thread::hardware_concurrency());
     row.params["graph_matches_1thread"] = identical ? "true" : "false";
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(print));
+    row.params["graph_fingerprint"] = hex;
     row.metrics["distance_evals"] = static_cast<double>(stats.distance_evals);
     row.metrics["pool_tasks"] = static_cast<double>(stats.tasks);
     row.metrics["wall_s"] = wall;

@@ -108,23 +108,7 @@ class DnndRunner {
       engines_[static_cast<std::size_t>(owner)]->add_local_point(id,
                                                                  dataset.row(i));
     }
-    for (auto& engine : engines_) engine->set_global_count(n);
-    global_n_ = n;
-    env_->telemetry(0).set(g_global_points_,
-                           static_cast<std::int64_t>(global_n_));
-    max_id_bound_ = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      max_id_bound_ =
-          std::max<std::size_t>(max_id_bound_, dataset.id_at(i) + 1);
-    }
-    // build()'s random initialization samples ids uniformly in [0, N), so
-    // the initial dataset must have dense ids. (Dynamic add/remove after
-    // the build may make the id space sparse; that path samples by rank
-    // weight instead.)
-    if (max_id_bound_ != n) {
-      throw std::invalid_argument(
-          "DnndRunner::distribute: initial dataset ids must be dense 0..N-1");
-    }
+    finish_distribute(dataset, "distribute");
   }
 
   /// Like distribute(), but through the transport: rank r "reads" the
@@ -142,19 +126,7 @@ class DnndRunner {
         engines_[at(r)]->ingest(dataset.id_at(i), dataset.row(i));
       }
     });
-    for (auto& engine : engines_) engine->set_global_count(n);
-    global_n_ = n;
-    env_->telemetry(0).set(g_global_points_,
-                           static_cast<std::int64_t>(global_n_));
-    max_id_bound_ = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      max_id_bound_ =
-          std::max<std::size_t>(max_id_bound_, dataset.id_at(i) + 1);
-    }
-    if (max_id_bound_ != n) {
-      throw std::invalid_argument(
-          "DnndRunner::distribute_via_exchange: ids must be dense 0..N-1");
-    }
+    finish_distribute(dataset, "distribute_via_exchange");
   }
 
   /// Runs NN-Descent to convergence (Algorithm 1 on top of §4's phases).
@@ -353,6 +325,28 @@ class DnndRunner {
 
  private:
   static std::size_t at(int r) { return static_cast<std::size_t>(r); }
+
+  /// Common tail of both distribute flavours, once every point is placed:
+  /// records the global count and the id bound.
+  void finish_distribute(const FeatureStore<T>& dataset, const char* caller) {
+    const std::size_t n = dataset.size();
+    for (auto& engine : engines_) engine->set_global_count(n);
+    global_n_ = n;
+    env_->telemetry(0).set(g_global_points_,
+                           static_cast<std::int64_t>(global_n_));
+    max_id_bound_ = 0;
+    for (const VertexId id : dataset.ids()) {
+      max_id_bound_ = std::max<std::size_t>(max_id_bound_, id + 1);
+    }
+    // build()'s random initialization samples ids uniformly in [0, N), so
+    // the initial dataset must have dense ids. (Dynamic add/remove after
+    // the build may make the id space sparse; that path samples by rank
+    // weight instead.)
+    if (max_id_bound_ != n) {
+      throw std::invalid_argument(std::string("DnndRunner::") + caller +
+                                  ": initial dataset ids must be dense 0..N-1");
+    }
+  }
 
   /// Core Algorithm-1 iteration loop, shared by build() and refine().
   void run_descent_loop(DnndBuildStats& stats, std::size_t max_iterations) {

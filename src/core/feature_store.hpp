@@ -15,9 +15,11 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
+#include "core/distance_kernels.hpp"
 #include "core/types.hpp"
 #include "telemetry/memory.hpp"
 
@@ -90,7 +92,7 @@ class FeatureStore {
     return ids_[local_index];
   }
 
-  [[nodiscard]] const std::vector<VertexId>& ids() const noexcept {
+  [[nodiscard]] std::span<const VertexId> ids() const noexcept {
     return ids_;
   }
 
@@ -109,12 +111,14 @@ class FeatureStore {
     index_.reserve(rows);
   }
 
-  /// Charges this store's feature payload (values, offsets, id index)
-  /// against a memory-ledger tag. Existing contents are copied once into
-  /// tagged storage, so tag while empty (the engine does) or at setup.
+  /// Charges this store's feature payload (values, offsets, ids, id
+  /// index) against a memory-ledger tag. Existing contents are copied
+  /// once into tagged storage, so tag while empty (the engine does) or at
+  /// setup.
   void set_mem_tag(telemetry::MemTag tag) {
     telemetry::retag(values_, tag);
     telemetry::retag(offsets_, tag);
+    telemetry::retag(ids_, tag);
     telemetry::retag(index_, tag);
   }
 
@@ -136,7 +140,7 @@ class FeatureStore {
     // allocators so the compacted storage stays on the same ledger tag.
     decltype(values_) values(values_.get_allocator());
     decltype(offsets_) offsets(offsets_.get_allocator());
-    std::vector<VertexId> ids;
+    decltype(ids_) ids(ids_.get_allocator());
     values.reserve(values_.size());
     offsets.reserve(offsets_.size());
     ids.reserve(ids_.size());
@@ -156,19 +160,47 @@ class FeatureStore {
   }
 
  private:
-  // The big owners (feature payload, row offsets, id index) allocate
-  // through CountingAllocator so set_mem_tag() can attribute them to the
+  // Every owner (feature payload, row offsets, ids, id index) allocates
+  // through CountingAllocator so set_mem_tag() can attribute it to the
   // memory ledger; a default-constructed allocator is a pass-through, so
-  // untagged stores behave exactly as before. ids_ (8 bytes/point) stays
-  // a plain vector because ids() exposes it by reference.
+  // untagged stores behave exactly as before.
   std::vector<T, telemetry::CountingAllocator<T>> values_;
   /// size() + 1 entries when non-empty
   std::vector<std::size_t, telemetry::CountingAllocator<std::size_t>> offsets_;
-  std::vector<VertexId> ids_;
+  std::vector<VertexId, telemetry::CountingAllocator<VertexId>> ids_;
   std::unordered_map<
       VertexId, std::size_t, std::hash<VertexId>, std::equal_to<VertexId>,
       telemetry::CountingAllocator<std::pair<const VertexId, std::size_t>>>
       index_;
 };
+
+/// Caller-owned scratch for row_distances(), so a hot loop allocates once.
+template <typename T>
+struct RowDistanceScratch {
+  std::vector<const T*> rows;
+  std::vector<Dist> dists;
+};
+
+/// Distances from `query` to the rows of `ids`, in id order. A functor
+/// with a `batch` member gets the rows gathered into one kernel call; any
+/// other is called once per id. The view points into `scratch`.
+template <typename T, typename DistanceFn>
+std::span<const Dist> row_distances(
+    const FeatureStore<T>& store, const DistanceFn& distance,
+    std::type_identity_t<std::span<const T>> query,
+    std::span<const VertexId> ids, RowDistanceScratch<T>& scratch) {
+  scratch.dists.resize(ids.size());
+  if constexpr (BatchDistance<DistanceFn, T>) {
+    scratch.rows.clear();
+    for (const VertexId id : ids) scratch.rows.push_back(store[id].data());
+    distance.batch(query.data(), scratch.rows.data(), ids.size(),
+                   query.size(), scratch.dists.data());
+  } else {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      scratch.dists[i] = distance(query, store[ids[i]]);
+    }
+  }
+  return scratch.dists;
+}
 
 }  // namespace dnnd::core

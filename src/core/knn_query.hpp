@@ -20,7 +20,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/distance_kernels.hpp"
 #include "core/feature_store.hpp"
 #include "core/knn_graph.hpp"
 #include "core/neighbor_list.hpp"
@@ -115,69 +114,37 @@ class GraphSearcher {
     }
 
     const double slack = 1.0 + params.epsilon;
-    if constexpr (BatchDistance<DistanceFn, T>) {
-      // Batch-capable functor: gather the popped vertex's unvisited
-      // neighbors, evaluate them through the one-query-vs-many kernel,
-      // then admit in edge order. The admission bound is re-read per
-      // candidate exactly as in the scalar loop below, so both paths
-      // expand the same vertices in the same order.
-      std::vector<VertexId> batch;
-      std::vector<const T*> rows;
-      std::vector<Dist> dists;
-      while (!frontier.empty()) {
-        const auto [d, v] = frontier.top();
-        frontier.pop();
-        // d_max is +inf until `best` fills, so early expansion is unbounded.
-        const Dist d_max = best.furthest_distance();
-        if (static_cast<double>(d) >
-            slack * static_cast<double>(d_max)) {
-          break;
-        }
-        batch.clear();
-        rows.clear();
-        for (const Neighbor& edge : graph_->neighbors(v)) {
-          const VertexId w = edge.id;
-          if (visited[w]) continue;
-          visited[w] = true;
-          ++result.visited;
-          batch.push_back(w);
-          rows.push_back((*points_)[w].data());
-        }
-        if (batch.empty()) continue;
-        dists.resize(batch.size());
-        result.distance_evals += batch.size();
-        distance_.batch(query.data(), rows.data(), batch.size(),
-                        query.size(), dists.data());
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          const Dist dw = dists[i];
-          const Dist bound = best.furthest_distance();
-          if (static_cast<double>(dw) < slack * static_cast<double>(bound)) {
-            frontier.emplace(dw, batch[i]);
-            best.update(batch[i], dw, false);
-          }
-        }
+    // Gather the popped vertex's unvisited neighbors, evaluate them in one
+    // row_distances() call, then admit them in edge order with the
+    // admission bound re-read per candidate.
+    std::vector<VertexId> batch;
+    RowDistanceScratch<T> scratch;
+    while (!frontier.empty()) {
+      const auto [d, v] = frontier.top();
+      frontier.pop();
+      // d_max is +inf until `best` fills, so early expansion is unbounded.
+      const Dist d_max = best.furthest_distance();
+      if (static_cast<double>(d) > slack * static_cast<double>(d_max)) {
+        break;
       }
-    } else {
-      while (!frontier.empty()) {
-        const auto [d, v] = frontier.top();
-        frontier.pop();
-        // d_max is +inf until `best` fills, so early expansion is unbounded.
-        const Dist d_max = best.furthest_distance();
-        if (static_cast<double>(d) >
-            slack * static_cast<double>(d_max)) {
-          break;
-        }
-        for (const Neighbor& edge : graph_->neighbors(v)) {
-          const VertexId w = edge.id;
-          if (visited[w]) continue;
-          visited[w] = true;
-          ++result.visited;
-          const Dist dw = eval(result, query, w);
-          const Dist bound = best.furthest_distance();
-          if (static_cast<double>(dw) < slack * static_cast<double>(bound)) {
-            frontier.emplace(dw, w);
-            best.update(w, dw, false);
-          }
+      batch.clear();
+      for (const Neighbor& edge : graph_->neighbors(v)) {
+        const VertexId w = edge.id;
+        if (visited[w]) continue;
+        visited[w] = true;
+        ++result.visited;
+        batch.push_back(w);
+      }
+      if (batch.empty()) continue;
+      result.distance_evals += batch.size();
+      const auto dists =
+          row_distances(*points_, distance_, query, batch, scratch);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        const Dist dw = dists[i];
+        const Dist bound = best.furthest_distance();
+        if (static_cast<double>(dw) < slack * static_cast<double>(bound)) {
+          frontier.emplace(dw, batch[i]);
+          best.update(batch[i], dw, false);
         }
       }
     }

@@ -9,26 +9,24 @@
 // when the number of successful neighbor-list updates in an iteration
 // drops below δ·K·N.
 //
-// Intra-rank threading (config.threads > 1) runs the batch-capable path
-// through a deterministic staged pipeline: every parallel stage writes
-// private, index-addressed slots and a single canonical merge applies the
-// results in fixed (task-index, intra-task) order, while everything that
-// owns the rng stream stays sequential. The task decomposition depends on
-// the work size only — never the thread count — so the graph, the
-// convergence counter c, the eval/update counters, AND stats.tasks are
-// bit-identical for any thread count (threads == 1 simply runs the same
-// decomposition inline, with no threads spawned). A non-batch DistanceFn
-// keeps the original truly-serial path: its per-pair live filter makes
-// the eval count schedule-dependent, so it cannot be staged without
-// changing counters — threading requires a batch functor.
+// One loop serves every DistanceFn. The split, the reversed-list scatter
+// and the sampling are plain vertex-order loops (they own the rng
+// stream). In the neighbor checks, each u1's candidates are filtered
+// against the lists as they stood before u1, evaluated in one
+// row_distances() call (a single kernel batch when the functor has a
+// `batch` member) and applied in pair order: u1's list, then the
+// candidate's. Only the initial evaluations run on the intra-rank pool
+// (config.threads), in fixed vertex blocks that each write their own
+// lists, so the graph and every counter, stats.tasks included, are the
+// same for any thread count. A center's few dozen evaluations are too
+// little work to split across threads: dispatch and join cost more.
 #pragma once
 
-#include <array>
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
-#include "core/distance_kernels.hpp"
 #include "core/feature_store.hpp"
 #include "core/knn_graph.hpp"
 #include "core/neighbor_list.hpp"
@@ -53,13 +51,16 @@ struct NnDescentStats {
   std::uint64_t distance_evals = 0;
   std::uint64_t updates = 0;
   std::vector<std::uint64_t> updates_per_iteration;
-  /// Pool tasks dispatched (batch path). A pure function of the work
-  /// shape, asserted bit-identical across thread counts by the parity
-  /// tests. 0 on the non-batch path.
+  /// Pool tasks dispatched (the initial evaluation blocks). A pure
+  /// function of the point count, asserted equal across thread counts by
+  /// the parity tests.
   std::uint64_t tasks = 0;
 };
 
-/// DistanceFn: Dist(std::span<const T>, std::span<const T>).
+/// DistanceFn: Dist(std::span<const T>, std::span<const T>), optionally
+/// with a `batch` member (see row_distances). The initial evaluations
+/// call it from several pool threads at once, so its const calls must be
+/// safe to run concurrently.
 template <typename T, typename DistanceFn>
 class NnDescent {
  public:
@@ -94,86 +95,45 @@ class NnDescent {
   [[nodiscard]] const NnDescentStats& stats() const noexcept { return stats_; }
 
  private:
-  /// Grain for vertex-block stages (split, reversed-matrix passes).
+  /// Vertices per pool task in the initial evaluations.
   static constexpr std::size_t kVertexGrain = 256;
-  /// Grain for batched-eval tasks: one kernel batch per task.
-  static constexpr std::size_t kEvalGrain = 16;
-  /// Pending-update streams at least this long use the striped-lock
-  /// canonical merge; shorter ones fold inline. The cut depends only on
-  /// the stream length, so task counts stay thread-count-invariant.
-  static constexpr std::size_t kStripedApplyMin = 64;
-
-  Dist eval(VertexId a, VertexId b) {
-    ++stats_.distance_evals;
-    return distance_((*points_)[a], (*points_)[b]);
-  }
-
-  /// Dispatches the fixed block decomposition through the pool and
-  /// accounts the tasks (count is thread-count-independent).
-  template <typename Fn>
-  void run_blocks(std::size_t items, std::size_t grain, Fn&& fn) {
-    stats_.tasks += ThreadPool::block_count(items, grain);
-    pool_.for_blocks(items, grain, std::forward<Fn>(fn));
-  }
 
   /// Lines 2–5: K random neighbors per vertex.
   void initialize(util::Xoshiro256& rng) {
     const std::size_t n = points_->size();
-    if constexpr (BatchDistance<DistanceFn, T>) {
-      // Stage 1 (sequential: owns the rng stream): draw every vertex's
-      // partner ids exactly as the interleaved serial loop would. The
-      // draw schedule is independent of the distances because warm-up
-      // updates always insert (the list is never full here), so
-      // acceptance depends only on previously accepted draws.
-      std::vector<std::vector<VertexId>> drawn(n);
-      for (std::size_t vi = 0; vi < n; ++vi) {
-        const auto v = static_cast<VertexId>(vi);
-        auto& mine = drawn[vi];
-        while (mine.size() < config_.k && mine.size() + 1 < n) {
-          const auto u = static_cast<VertexId>(rng.uniform_below(n));
-          if (u == v || std::find(mine.begin(), mine.end(), u) != mine.end()) {
-            continue;
-          }
-          mine.push_back(u);
+    // Draw every vertex's partner ids first (sequential: owns the rng
+    // stream). The draws do not depend on the distances because warm-up
+    // updates always insert: the list is never full here.
+    std::vector<std::vector<VertexId>> drawn(n);
+    for (std::size_t vi = 0; vi < n; ++vi) {
+      const auto v = static_cast<VertexId>(vi);
+      auto& mine = drawn[vi];
+      while (mine.size() < config_.k && mine.size() + 1 < n) {
+        const auto u = static_cast<VertexId>(rng.uniform_below(n));
+        if (u == v || std::find(mine.begin(), mine.end(), u) != mine.end()) {
+          continue;
         }
-        stats_.distance_evals += mine.size();
+        mine.push_back(u);
       }
-      // Stage 2 (parallel, slot = the vertex's own list): batch-eval each
-      // vertex's partners and apply in draw order. Writes touch only
-      // lists_[vi] — private to the task that owns block vi.
-      run_blocks(n, kVertexGrain,
-                 [&](std::size_t, std::size_t begin, std::size_t end) {
-                   std::vector<const T*> rows;
-                   std::vector<Dist> dists;
-                   for (std::size_t vi = begin; vi < end; ++vi) {
-                     const auto& mine = drawn[vi];
-                     if (mine.empty()) continue;
-                     rows.clear();
-                     for (const VertexId u : mine) {
-                       rows.push_back((*points_)[u].data());
-                     }
-                     dists.resize(mine.size());
-                     const auto q = (*points_)[static_cast<VertexId>(vi)];
-                     distance_.batch(q.data(), rows.data(), mine.size(),
-                                     q.size(), dists.data());
-                     for (std::size_t j = 0; j < mine.size(); ++j) {
-                       lists_[vi].update(mine[j], dists[j], true);
-                     }
-                   }
-                 });
-    } else {
-      for (std::size_t vi = 0; vi < n; ++vi) {
-        const auto v = static_cast<VertexId>(vi);
-        auto& list = lists_[vi];
-        // Rejection-sample distinct ids != v; K << N so collisions are
-        // rare.
-        while (list.size() < config_.k && list.size() + 1 < n) {
-          const auto u = static_cast<VertexId>(rng.uniform_below(n));
-          if (u == v || list.contains(u)) continue;
-          list.update(u, eval(v, u), true);
-        }
-      }
+      stats_.distance_evals += mine.size();
     }
+    // Evaluate and insert in vertex blocks on the pool; a block writes
+    // only its own vertices' lists.
+    stats_.tasks += ThreadPool::block_count(n, kVertexGrain);
+    pool_.for_blocks(n, kVertexGrain,
+                     [&](std::size_t, std::size_t begin, std::size_t end) {
+                       RowDistanceScratch<T> scratch;
+                       for (std::size_t vi = begin; vi < end; ++vi) {
+                         const auto& mine = drawn[vi];
+                         const auto dists = row_distances(
+                             *points_, distance_,
+                             (*points_)[static_cast<VertexId>(vi)], mine,
+                             scratch);
+                         for (std::size_t j = 0; j < mine.size(); ++j) {
+                           lists_[vi].update(mine[j], dists[j], true);
+                         }
+                       }
+                     });
   }
 
   /// One round of lines 7–23. Returns the update counter c.
@@ -184,267 +144,71 @@ class NnDescent {
 
     // Lines 8–10: split each list into old / sampled-new; flip flags.
     std::vector<std::vector<VertexId>> old_ids(n), new_ids(n);
-    if constexpr (BatchDistance<DistanceFn, T>) {
-      // Stage 1 (parallel, slots old_ids[vi] / fresh[vi]): read-only
-      // split of every list in its deterministic heap order.
-      std::vector<std::vector<std::size_t>> fresh(n);
-      run_blocks(n, kVertexGrain,
-                 [&](std::size_t, std::size_t begin, std::size_t end) {
-                   for (std::size_t vi = begin; vi < end; ++vi) {
-                     const auto entries = std::as_const(lists_[vi]).entries();
-                     for (std::size_t e = 0; e < entries.size(); ++e) {
-                       if (entries[e].is_new) {
-                         fresh[vi].push_back(e);
-                       } else {
-                         old_ids[vi].push_back(entries[e].id);
-                       }
-                     }
-                   }
-                 });
-      // Stage 2 (sequential: owns the rng stream and the flag flips) —
-      // consumes the rng byte-identically to the fused serial loop.
-      for (std::size_t vi = 0; vi < n; ++vi) {
-        auto entries = lists_[vi].entries();
-        util::shuffle(fresh[vi].begin(), fresh[vi].end(), rng);
-        const std::size_t take = std::min(sample_k, fresh[vi].size());
-        for (std::size_t s = 0; s < take; ++s) {
-          entries[fresh[vi][s]].is_new = false;  // line 10
-          new_ids[vi].push_back(entries[fresh[vi][s]].id);
+    std::vector<std::size_t> fresh;
+    for (std::size_t vi = 0; vi < n; ++vi) {
+      auto entries = lists_[vi].entries();
+      fresh.clear();
+      for (std::size_t e = 0; e < entries.size(); ++e) {
+        if (entries[e].is_new) {
+          fresh.push_back(e);
+        } else {
+          old_ids[vi].push_back(entries[e].id);
         }
       }
-    } else {
-      for (std::size_t vi = 0; vi < n; ++vi) {
-        auto entries = lists_[vi].entries();
-        std::vector<std::size_t> fresh;
-        for (std::size_t e = 0; e < entries.size(); ++e) {
-          if (entries[e].is_new) {
-            fresh.push_back(e);
-          } else {
-            old_ids[vi].push_back(entries[e].id);
-          }
-        }
-        util::shuffle(fresh.begin(), fresh.end(), rng);
-        const std::size_t take = std::min(sample_k, fresh.size());
-        for (std::size_t s = 0; s < take; ++s) {
-          entries[fresh[s]].is_new = false;  // line 10
-          new_ids[vi].push_back(entries[fresh[s]].id);
-        }
+      util::shuffle(fresh.begin(), fresh.end(), rng);
+      const std::size_t take = std::min(sample_k, fresh.size());
+      for (std::size_t s = 0; s < take; ++s) {
+        entries[fresh[s]].is_new = false;  // line 10
+        new_ids[vi].push_back(entries[fresh[s]].id);
       }
     }
 
     // Lines 11–12: reversed matrices.
     std::vector<std::vector<VertexId>> rev_old(n), rev_new(n);
-    if constexpr (BatchDistance<DistanceFn, T>) {
-      build_reversed(n, old_ids, new_ids, rev_old, rev_new);
-    } else {
-      for (std::size_t vi = 0; vi < n; ++vi) {
-        const auto v = static_cast<VertexId>(vi);
-        for (const VertexId u : old_ids[vi]) rev_old[u].push_back(v);
-        for (const VertexId u : new_ids[vi]) rev_new[u].push_back(v);
-      }
+    for (std::size_t vi = 0; vi < n; ++vi) {
+      const auto v = static_cast<VertexId>(vi);
+      for (const VertexId u : old_ids[vi]) rev_old[u].push_back(v);
+      for (const VertexId u : new_ids[vi]) rev_new[u].push_back(v);
     }
 
-    // Lines 14–16: merge a ρK-sample of the reversed lists (sequential:
-    // owns the rng stream).
+    // Lines 14–16: merge a ρK-sample of the reversed lists.
     for (std::size_t vi = 0; vi < n; ++vi) {
       merge_sample(old_ids[vi], rev_old[vi], sample_k, rng);
       merge_sample(new_ids[vi], rev_new[vi], sample_k, rng);
     }
 
-    // Lines 17–22: neighbor checks. With a batch-capable distance functor
-    // the candidates of one center u1 are gathered (filtered against the
-    // pre-row list state) and evaluated through the one-query-vs-many
-    // kernel; updates are then applied in the original pair order, so the
-    // result is a pure function of the values — identical across the
-    // scalar and SIMD dispatch paths, and across thread counts.
+    // Lines 17–22: neighbor checks, one evaluation call per u1.
     std::uint64_t c = 0;
-    if constexpr (BatchDistance<DistanceFn, T>) {
-      std::vector<VertexId> raw, cand;
-      std::vector<std::uint8_t> keep;
-      std::vector<const T*> rows;
-      std::vector<Dist> dists;
-      std::vector<PendingUpdate> pending;
-      for (std::size_t vi = 0; vi < n; ++vi) {
-        const auto& nu = new_ids[vi];
-        const auto& ol = old_ids[vi];
-        for (std::size_t i = 0; i < nu.size(); ++i) {
-          const VertexId u1 = nu[i];
-          raw.clear();
-          for (std::size_t j = i + 1; j < nu.size(); ++j) raw.push_back(nu[j]);
-          raw.insert(raw.end(), ol.begin(), ol.end());
-          if (raw.empty()) continue;
-          // Candidate filter (parallel, slot keep[idx]): pure reads of
-          // the pre-center list state — exactly the state the fused
-          // serial gather saw, because the previous center's updates
-          // were applied before this center started.
-          keep.assign(raw.size(), 0);
-          run_blocks(
-              raw.size(), kEvalGrain,
-              [&](std::size_t, std::size_t begin, std::size_t end) {
-                for (std::size_t idx = begin; idx < end; ++idx) {
-                  const VertexId u2 = raw[idx];
-                  if (u1 == u2) continue;
-                  // The both-sides-known skip from check(): purely a work
-                  // saver — update() no-ops on contained ids, so a pair
-                  // that becomes redundant mid-batch cannot change the
-                  // graph.
-                  if (lists_[u1].contains(u2) && lists_[u2].contains(u1)) {
-                    continue;
-                  }
-                  keep[idx] = 1;
-                }
-              });
-          cand.clear();
-          rows.clear();
-          for (std::size_t idx = 0; idx < raw.size(); ++idx) {
-            if (keep[idx] == 0) continue;
-            cand.push_back(raw[idx]);
-            rows.push_back((*points_)[raw[idx]].data());
-          }
-          if (cand.empty()) continue;
-          dists.resize(cand.size());
-          const auto q = (*points_)[u1];
-          stats_.distance_evals += cand.size();
-          // Batched eval (parallel, slot dists[b..e)): the kernel
-          // contract makes out[i] a function of (q, rows[i]) alone, so
-          // any split of the batch is bit-exact.
-          run_blocks(cand.size(), kEvalGrain,
-                     [&](std::size_t, std::size_t begin, std::size_t end) {
-                       distance_.batch(q.data(), rows.data() + begin,
-                                       end - begin, q.size(),
-                                       dists.data() + begin);
-                     });
-          // Canonical merge: the pending update stream in serial pair
-          // order, applied either inline or striped by target list.
-          pending.clear();
-          for (std::size_t m = 0; m < cand.size(); ++m) {
-            pending.push_back({u1, cand[m], dists[m],
-                               static_cast<std::uint8_t>(locks_.stripe_of(u1))});
-            pending.push_back(
-                {cand[m], u1, dists[m],
-                 static_cast<std::uint8_t>(locks_.stripe_of(cand[m]))});
-          }
-          c += apply_pending(pending);
-        }
-      }
-    } else {
-      for (std::size_t vi = 0; vi < n; ++vi) {
-        const auto& nu = new_ids[vi];
-        const auto& ol = old_ids[vi];
-        for (std::size_t i = 0; i < nu.size(); ++i) {
-          for (std::size_t j = i + 1; j < nu.size(); ++j) {
-            c += check(nu[i], nu[j]);
-          }
-          for (const VertexId u2 : ol) {
-            c += check(nu[i], u2);
-          }
+    std::vector<VertexId> cand;
+    RowDistanceScratch<T> scratch;
+    for (std::size_t vi = 0; vi < n; ++vi) {
+      const auto& nu = new_ids[vi];
+      const auto& ol = old_ids[vi];
+      for (std::size_t i = 0; i < nu.size(); ++i) {
+        const VertexId u1 = nu[i];
+        // Skip a pair when neither side could accept it: the serial
+        // analogue of the §4.3.2/§4.3.3 savings. It saves work only,
+        // since update() ignores ids a list already holds.
+        auto offer = [&](VertexId u2) {
+          if (u1 == u2) return;
+          if (lists_[u1].contains(u2) && lists_[u2].contains(u1)) return;
+          cand.push_back(u2);
+        };
+        cand.clear();
+        for (std::size_t j = i + 1; j < nu.size(); ++j) offer(nu[j]);
+        for (const VertexId u2 : ol) offer(u2);
+        if (cand.empty()) continue;
+        stats_.distance_evals += cand.size();
+        const auto dists =
+            row_distances(*points_, distance_, (*points_)[u1], cand, scratch);
+        for (std::size_t m = 0; m < cand.size(); ++m) {
+          c += static_cast<std::uint64_t>(
+              lists_[u1].update(cand[m], dists[m], true));
+          c += static_cast<std::uint64_t>(
+              lists_[cand[m]].update(u1, dists[m], true));
         }
       }
     }
-    return c;
-  }
-
-  struct PendingUpdate {
-    VertexId target;    ///< the list being updated
-    VertexId candidate; ///< the id offered to it
-    Dist distance;
-    std::uint8_t stripe;  ///< locks_.stripe_of(target), precomputed
-  };
-
-  /// Applies a pending update stream. Updates to one list commute with
-  /// updates to any other (update() touches only its target), so any
-  /// partition that preserves each list's own subsequence order yields
-  /// the same state and the same summed return codes as the serial fold.
-  /// The striped path partitions by stripe — one task per stripe, stream
-  /// order within it — and sums per-stripe counters in stripe order; the
-  /// stripe lock is held across the task, making every access to a
-  /// stripe's lists mutex-ordered (TSan-visible if the disjointness were
-  /// ever violated).
-  std::uint64_t apply_pending(const std::vector<PendingUpdate>& pending) {
-    if (pending.size() < kStripedApplyMin) {
-      std::uint64_t c = 0;
-      for (const PendingUpdate& p : pending) {
-        c += static_cast<std::uint64_t>(
-            lists_[p.target].update(p.candidate, p.distance, true));
-      }
-      return c;
-    }
-    std::array<std::uint64_t, 64> stripe_c{};
-    const std::size_t stripes = locks_.stripes();
-    stats_.tasks += stripes;
-    pool_.run(stripes, [&](std::size_t s) {
-      std::uint64_t local = 0;
-      const std::lock_guard<std::mutex> lock(locks_.mutex_at(s));
-      for (const PendingUpdate& p : pending) {
-        if (p.stripe != s) continue;
-        local += static_cast<std::uint64_t>(
-            lists_[p.target].update(p.candidate, p.distance, true));
-      }
-      stripe_c[s] = local;
-    });
-    std::uint64_t c = 0;
-    for (std::size_t s = 0; s < stripes; ++s) c += stripe_c[s];
-    return c;
-  }
-
-  /// Lines 11–12 as a two-pass slotted scatter: pass 1 buckets each
-  /// source block's (target, source) pairs by target stripe (slot =
-  /// [task][stripe]); pass 2 scatters one target stripe per task,
-  /// draining buckets in task order. Both passes preserve source-vertex
-  /// order per target, so rev_*[u] is byte-identical to the serial
-  /// scatter.
-  void build_reversed(std::size_t n,
-                      const std::vector<std::vector<VertexId>>& old_ids,
-                      const std::vector<std::vector<VertexId>>& new_ids,
-                      std::vector<std::vector<VertexId>>& rev_old,
-                      std::vector<std::vector<VertexId>>& rev_new) {
-    const std::size_t blocks = ThreadPool::block_count(n, kVertexGrain);
-    auto stripe_of = [](VertexId u) {
-      return static_cast<std::size_t>(u) / kVertexGrain;
-    };
-    struct Bucket {
-      std::vector<std::pair<VertexId, VertexId>> old_pairs;  // (target, src)
-      std::vector<std::pair<VertexId, VertexId>> new_pairs;
-    };
-    std::vector<Bucket> buckets(blocks * blocks);
-    run_blocks(n, kVertexGrain,
-               [&](std::size_t task, std::size_t begin, std::size_t end) {
-                 Bucket* row = buckets.data() + task * blocks;
-                 for (std::size_t vi = begin; vi < end; ++vi) {
-                   const auto v = static_cast<VertexId>(vi);
-                   for (const VertexId u : old_ids[vi]) {
-                     row[stripe_of(u)].old_pairs.emplace_back(u, v);
-                   }
-                   for (const VertexId u : new_ids[vi]) {
-                     row[stripe_of(u)].new_pairs.emplace_back(u, v);
-                   }
-                 }
-               });
-    stats_.tasks += blocks;
-    pool_.run(blocks, [&](std::size_t s) {
-      for (std::size_t t = 0; t < blocks; ++t) {
-        const Bucket& b = buckets[t * blocks + s];
-        for (const auto& [u, v] : b.old_pairs) rev_old[u].push_back(v);
-        for (const auto& [u, v] : b.new_pairs) rev_new[u].push_back(v);
-      }
-    });
-  }
-
-  /// Lines 19–22 for one pair.
-  std::uint64_t check(VertexId u1, VertexId u2) {
-    if (u1 == u2) return 0;
-    // Skip the distance evaluation entirely when neither side could
-    // accept the candidate — the serial analogue of the §4.3.2/§4.3.3
-    // savings; it does not change the result, only the work.
-    auto& l1 = lists_[u1];
-    auto& l2 = lists_[u2];
-    const bool in1 = l1.contains(u2);
-    const bool in2 = l2.contains(u1);
-    if (in1 && in2) return 0;
-    const Dist d = eval(u1, u2);
-    std::uint64_t c = 0;
-    if (!in1) c += static_cast<std::uint64_t>(l1.update(u2, d, true));
-    if (!in2) c += static_cast<std::uint64_t>(l2.update(u1, d, true));
     return c;
   }
 
@@ -473,7 +237,6 @@ class NnDescent {
   DistanceFn distance_;
   NnDescentConfig config_;
   ThreadPool pool_;
-  StripedNeighborLocks locks_;
   std::vector<NeighborList> lists_;
   NnDescentStats stats_;
 };

@@ -161,78 +161,6 @@ void store_features(pmem::Manager& manager, const FeatureStore<T>& features,
   }
 }
 
-/// Zero-copy read view over persistent features: serves feature spans
-/// straight out of the mapped file, so a reader touches only the pages it
-/// actually visits (the out-of-core mode §7 points at via DiskANN). Offers
-/// the FeatureStore lookups (operator[], row, id_at, size, dim); the
-/// searchers take a FeatureStore, so query paths load_features() instead.
-/// Valid while the Manager stays open.
-template <typename T>
-class PersistentFeatureView {
- public:
-  using value_type = T;
-
-  explicit PersistentFeatureView(const PersistentFeatures<T>& features)
-      : features_(&features) {
-    index_.reserve(features.ids.size());
-    for (std::size_t i = 0; i < features.ids.size(); ++i) {
-      index_.emplace(features.ids[i], i);
-    }
-  }
-
-  /// Convenience: resolve the named object inside `manager` first.
-  PersistentFeatureView(pmem::Manager& manager, std::string_view name)
-      : PersistentFeatureView(*resolve(manager, name)) {}
-
-  [[nodiscard]] std::size_t size() const noexcept {
-    return features_->ids.size();
-  }
-  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
-
-  [[nodiscard]] bool contains(VertexId id) const {
-    return index_.contains(id);
-  }
-
-  [[nodiscard]] std::span<const T> operator[](VertexId id) const {
-    const auto it = index_.find(id);
-    if (it == index_.end()) {
-      throw std::out_of_range("PersistentFeatureView: unknown id");
-    }
-    return row(it->second);
-  }
-
-  [[nodiscard]] std::span<const T> row(std::size_t local_index) const {
-    const auto begin = features_->offsets[local_index];
-    const auto end = features_->offsets[local_index + 1];
-    return {features_->values.data() + begin,
-            static_cast<std::size_t>(end - begin)};
-  }
-
-  [[nodiscard]] VertexId id_at(std::size_t local_index) const {
-    return features_->ids[local_index];
-  }
-
-  [[nodiscard]] std::size_t dim() const noexcept {
-    if (features_->ids.empty()) return 0;
-    return static_cast<std::size_t>(features_->offsets[1] -
-                                    features_->offsets[0]);
-  }
-
- private:
-  static const PersistentFeatures<T>* resolve(pmem::Manager& manager,
-                                              std::string_view name) {
-    const auto* pf = manager.find<PersistentFeatures<T>>(name);
-    if (pf == nullptr) {
-      throw std::runtime_error("datastore has no features named '" +
-                               std::string(name) + "'");
-    }
-    return pf;
-  }
-
-  const PersistentFeatures<T>* features_;
-  std::unordered_map<VertexId, std::size_t> index_;
-};
-
 template <typename T>
 FeatureStore<T> load_features(pmem::Manager& manager, std::string_view name) {
   auto* pf = manager.find<PersistentFeatures<T>>(name);

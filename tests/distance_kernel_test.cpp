@@ -301,6 +301,35 @@ TEST(BuildBitIdentity, BruteForceGraphMatchesAcrossDispatchAndBatching) {
         points, core::SquaredL2Kernel<float>{}, 6);
     EXPECT_EQ(scalar, batched);
   }
+
+  // Serial NN-Descent runs one loop for both functors: same graph, same
+  // update counts, same evaluations.
+  core::NnDescentConfig cfg;
+  cfg.k = 6;
+  core::NnDescentStats pair_stats, batch_stats;
+  EXPECT_EQ(core::build_nn_descent(points, PairwiseSq{}, cfg, &pair_stats),
+            core::build_nn_descent(points, core::SquaredL2Kernel<float>{},
+                                   cfg, &batch_stats));
+  EXPECT_EQ(pair_stats.updates_per_iteration,
+            batch_stats.updates_per_iteration);
+  EXPECT_EQ(pair_stats.distance_evals, batch_stats.distance_evals);
+
+  // So does GraphSearcher's expansion loop.
+  const auto queries = small_dataset(10, 14);
+  core::SearchParams params;
+  params.num_neighbors = 6;
+  params.epsilon = 0.2;
+  const auto by_pair = core::GraphSearcher(batched, points, PairwiseSq{})
+                           .batch_search(queries, params, 1);
+  const auto by_batch =
+      core::GraphSearcher(batched, points, core::SquaredL2Kernel<float>{})
+          .batch_search(queries, params, 1);
+  ASSERT_EQ(by_pair.size(), by_batch.size());
+  for (std::size_t i = 0; i < by_pair.size(); ++i) {
+    EXPECT_EQ(by_pair[i].neighbors, by_batch[i].neighbors);
+    EXPECT_EQ(by_pair[i].distance_evals, by_batch[i].distance_evals);
+    EXPECT_EQ(by_pair[i].visited, by_batch[i].visited);
+  }
 }
 
 TEST(BuildBitIdentity, GraphSearcherResultsMatchAcrossDispatch) {

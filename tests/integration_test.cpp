@@ -133,6 +133,8 @@ TEST(Integration, SparseFeaturesRoundTripThroughDatastore) {
       ASSERT_EQ(a.size(), b.size());
       for (std::size_t j = 0; j < a.size(); ++j) EXPECT_EQ(a[j], b[j]);
     }
+    EXPECT_THROW((void)core::load_features<std::uint32_t>(mgr, "nope"),
+                 std::runtime_error);
   }
   std::remove(store_path.c_str());
 }
@@ -271,35 +273,6 @@ TEST(Integration, MissingIndexMetadataThrows) {
   std::remove(store_path.c_str());
   auto mgr = pmem::Manager::create(store_path, 4 << 20);
   EXPECT_THROW((void)core::load_index_metadata(mgr), std::runtime_error);
-  std::remove(store_path.c_str());
-}
-
-TEST(Integration, ZeroCopyViewMatchesLoadedFeatures) {
-  const std::string store_path = temp_path("dnnd_view_match.dat");
-  std::remove(store_path.c_str());
-  const auto base = data::GaussianMixture({.dim = 6, .seed = 15}).sample(80, 1);
-  auto mgr = pmem::Manager::create(store_path, 16 << 20);
-  core::store_features(mgr, base, "pts");
-
-  const core::PersistentFeatureView<float> view(mgr, "pts");
-  ASSERT_EQ(view.size(), 80u);
-  EXPECT_EQ(view.dim(), 6u);
-  for (core::VertexId v = 0; v < 80; ++v) {
-    ASSERT_TRUE(view.contains(v));
-    const auto a = view[v];
-    const auto b = base[v];
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t d = 0; d < a.size(); ++d) EXPECT_EQ(a[d], b[d]);
-    // Zero-copy: the span must point inside the mapping, not a copy.
-    const auto* base_ptr = reinterpret_cast<const char*>(mgr.header());
-    EXPECT_GE(reinterpret_cast<const char*>(a.data()), base_ptr);
-    EXPECT_LT(reinterpret_cast<const char*>(a.data()),
-              base_ptr + mgr.capacity_bytes());
-  }
-  EXPECT_THROW((void)view[999], std::out_of_range);
-  EXPECT_THROW((core::PersistentFeatureView<float>(mgr, "nope")),
-               std::runtime_error);
-  mgr.close();
   std::remove(store_path.c_str());
 }
 

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <sstream>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -220,6 +221,7 @@ TEST(SubsystemAccounting, FeatureStoreChargesValuesOffsetsAndIndex) {
   const MemTag tag(&ledger, ledger.tag("mem.features"));
   dnnd::core::FeatureStore<float> store;
   store.set_mem_tag(tag);
+  store.reserve(100, 16);  // fixes the vectors' capacities exactly
   const std::vector<float> row(16, 1.5f);
   for (std::uint64_t id = 0; id < 100; ++id) store.add(id, row);
 
@@ -227,6 +229,23 @@ TEST(SubsystemAccounting, FeatureStoreChargesValuesOffsetsAndIndex) {
     // At minimum the 100x16 floats; offsets and the id index ride on top.
     EXPECT_GE(ledger.current_bytes("mem.features"),
               static_cast<std::int64_t>(100 * 16 * sizeof(float)));
+    // Exactly: values, 101 offsets, 100 ids, and an id index priced by
+    // building the same map on a second ledger.
+    MemoryLedger index_ledger;
+    const MemTag index_tag(&index_ledger, index_ledger.tag("index"));
+    using Entry = std::pair<const dnnd::core::VertexId, std::size_t>;
+    std::unordered_map<dnnd::core::VertexId, std::size_t,
+                       std::hash<dnnd::core::VertexId>,
+                       std::equal_to<dnnd::core::VertexId>,
+                       CountingAllocator<Entry>>
+        index{CountingAllocator<Entry>(index_tag)};
+    index.reserve(100);
+    for (std::uint64_t id = 0; id < 100; ++id) index.emplace(id, id);
+    EXPECT_EQ(ledger.current_bytes("mem.features"),
+              static_cast<std::int64_t>(
+                  100 * 16 * sizeof(float) + 101 * sizeof(std::size_t) +
+                  100 * sizeof(dnnd::core::VertexId)) +
+                  index_ledger.current_bytes("index"));
   } else {
     EXPECT_EQ(ledger.current_bytes("mem.features"), 0);
   }

@@ -14,8 +14,8 @@
 #                  counters, so the same committed metrics baseline must
 #                  gate it unchanged)
 #   tsan           DNND_SANITIZE=thread, run with DNND_THREADS_PER_RANK=4:
-#                  every auto-threaded pool (NN-Descent hot loops, engine
-#                  phases, query handlers, the NeighborList striped-lock
+#                  every auto-threaded pool (NN-Descent initial evaluations,
+#                  engine phases, query handlers, the memory-ledger
 #                  hammer) runs under ThreadSanitizer with real workers.
 #                  The thread-count determinism contract says this leg's
 #                  graphs and counters are bit-identical to serial runs,
@@ -74,8 +74,8 @@ for name in "${selected[@]}"; do
   (cd "$build_dir" &&
    env ${run_env[$name]:-} \
      ctest -L recovery --no-tests=error --output-on-failure -j "$(nproc)")
-  # The concurrency property tests (striped NeighborList hammer, thread
-  # parity matrix) must be present in every flavour — they are the TSan
+  # The concurrency tests (thread parity matrix, memory-ledger hammer)
+  # must be present in every flavour — they are the TSan
   # leg's main payload, and --no-tests=error catches a label typo.
   # shellcheck disable=SC2086
   (cd "$build_dir" &&

@@ -16,10 +16,9 @@
 // core/nn_descent.hpp and DESIGN.md ("Threading model").
 //
 // Scope notes baked into the matrix:
-//   - Batch-capable functors only: the non-batch path stays truly serial
-//     (its live per-pair filter makes eval counts schedule-dependent),
-//     and batch vs non-batch graphs are never compared (a mid-center
-//     eviction can legally re-admit a filtered pair).
+//   - One functor, L2Kernel: serial NN-Descent and the searcher run one
+//     loop for every functor, and BuildBitIdentity in
+//     distance_kernel_test.cpp checks that a per-pair functor matches it.
 //   - Cross-driver bit-equality additionally needs the schedule-
 //     independent config from chaos_test.cpp (delta = 0,
 //     redundant_check_reduction = false); with the default config each
