@@ -80,6 +80,7 @@ void Communicator::mark_peer_dead(int peer) {
     t_mailbox_.sub(static_cast<std::int64_t>(buffer.archive.size()));
     buffer.archive.clear();
     buffer.message_count = 0;
+    buffer.omitted_bytes = 0;
   }
   // Drop unacknowledged retransmission state: the ack will never come and
   // drive_retransmits() must not exhaust the retry budget (TransportError)
@@ -105,6 +106,7 @@ void Communicator::flush_to(int dest) {
     t_mailbox_.sub(static_cast<std::int64_t>(buffer.archive.size()));
     buffer.archive.clear();
     buffer.message_count = 0;
+    buffer.omitted_bytes = 0;
     return;
   }
   mpi::Datagram datagram;
@@ -117,6 +119,7 @@ void Communicator::flush_to(int dest) {
   t_mailbox_.sub(static_cast<std::int64_t>(datagram.payload.size()));
   buffer.archive.clear();
   buffer.message_count = 0;
+  buffer.omitted_bytes = 0;
   if (reliable_) {
     auto& channel = send_channels_[static_cast<std::size_t>(dest)];
     datagram.seq = channel.next_seq++;

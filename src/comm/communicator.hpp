@@ -222,9 +222,21 @@ class Communicator {
   /// Fire-and-forget remote call: runs `handler` on `dest` with `args`.
   /// Arguments are serialized immediately, so they may refer to
   /// stack-local data. Self-sends take the same serialized path (and are
-  /// accounted as local messages).
+  /// accounted as local messages), so callers leave out what the rank
+  /// already holds: the DNND engine never packs a feature for its own rank.
   template <typename... Args>
   void async(int dest, HandlerId handler, const Args&... args) {
+    async_omitting(dest, handler, 0, args...);
+  }
+
+  /// async() for a message that leaves out `omitted_bytes` of payload its
+  /// destination already holds. The send buffer still counts those bytes
+  /// toward its flush threshold, so datagram boundaries, and with them
+  /// the delivery schedule, are exactly those of the full message; the
+  /// stats and the mailbox ledger see only the bytes actually packed.
+  template <typename... Args>
+  void async_omitting(int dest, HandlerId handler, std::size_t omitted_bytes,
+                      const Args&... args) {
     // Messages to a peer this rank has declared dead are dropped before
     // any bookkeeping — like writes to a broken TCP connection. One bool
     // test on the fault-free fast path; the flag only ever sets when a
@@ -238,7 +250,7 @@ class Communicator {
     // serial::pack pushes the buffer over the threshold, splitting a
     // partially packed message across two datagrams.
     if (send_buffer_bytes_ != 0 && buffer.message_count > 0 &&
-        buffer.archive.size() >= send_buffer_bytes_) {
+        buffer.archive.size() + buffer.omitted_bytes >= send_buffer_bytes_) {
       flush_to(dest);
     }
     const std::size_t before = buffer.archive.size();
@@ -274,6 +286,7 @@ class Communicator {
     // transport. Compiles away (empty MemTag) under DNND_TELEMETRY=OFF.
     t_mailbox_.add(static_cast<std::int64_t>(message_bytes));
     ++buffer.message_count;
+    buffer.omitted_bytes += omitted_bytes;
     world_->note_messages_submitted(1);
     stats_.on_send(handler, dest != rank_, message_bytes);
     ++async_count_;
@@ -368,6 +381,7 @@ class Communicator {
   struct SendBuffer {
     serial::OutArchive archive;
     std::uint32_t message_count = 0;
+    std::size_t omitted_bytes = 0;  ///< see async_omitting()
   };
 
   /// Sender-side reliable channel state, one per destination.

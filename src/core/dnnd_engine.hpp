@@ -20,6 +20,16 @@
 //   type1_unopt           check request sent to *both* endpoints
 //   type2_unopt           full feature exchange, both directions
 //   rev_edge              §4.5 reverse-edge merge for graph optimization
+//   ingest / init_sample  distributed loading; dynamic-insert seeding
+//
+// A message never carries a feature to the rank that stores it. init_req,
+// type2plus, type2_unopt and init_sample append the sender's feature only
+// when the destination is another rank (Figure 4 counts only those). A
+// local one carries just its ids and scalars, and the handler reads the row
+// from this rank's shard (async_with_row / row_from). Handler order,
+// message counts, delivery order and the graph are the same either way;
+// only those labels' local bytes differ. ingest always carries its feature,
+// because the point is not stored anywhere yet.
 //
 // Correctness note on §4.3.3 pruning: the bound piggybacked on a Type-2+
 // message is u1's farthest-neighbor distance at send time. Farthest
@@ -106,8 +116,7 @@ class DnndEngine {
   /// owner (possibly itself) through the transport — the all-to-all
   /// exchange a real deployment performs after parallel file reads.
   void ingest(VertexId id, std::span<const T> feature) {
-    comm_->async(partition_.owner(id), h_ingest_, id,
-                 std::vector<T>(feature.begin(), feature.end()));
+    comm_->async(partition_.owner(id), h_ingest_, id, feature);
   }
 
   [[nodiscard]] const FeatureStore<T>& local_points() const noexcept {
@@ -137,9 +146,7 @@ class DnndEngine {
       while (init_emitted_ < init_targets_.size()) {
         if (emitted >= quota) return false;
         const VertexId u = init_targets_[init_emitted_++];
-        const auto feature = points_[v];
-        comm_->async(partition_.owner(u), h_init_req_, u, v,
-                     std::vector<T>(feature.begin(), feature.end()));
+        async_with_row(partition_.owner(u), h_init_req_, v, u, v);
         ++emitted;
       }
       init_targets_.clear();
@@ -203,10 +210,7 @@ class DnndEngine {
       const VertexId v = pending_init_.back();
       while (pending_emitted_ < config_.k) {
         if (emitted >= quota) return false;
-        const int dest = sample_weighted_rank();
-        const auto feature = points_[v];
-        comm_->async(dest, h_init_sample_, v,
-                     std::vector<T>(feature.begin(), feature.end()));
+        async_with_row(sample_weighted_rank(), h_init_sample_, v, v);
         ++pending_emitted_;
         ++emitted;
       }
@@ -615,6 +619,34 @@ class DnndEngine {
     }
   }
 
+  /// Sends `args` to `dest`'s `handler`, followed by the feature of the
+  /// local point `row` — unless `dest` is this rank, which stores the row
+  /// already: a message never carries a feature to the rank that holds it.
+  /// The omitted bytes still count toward the send buffer's flush
+  /// threshold, which keeps the delivery schedule unchanged. The handler
+  /// gets the feature back with row_from().
+  template <typename... Args>
+  void async_with_row(int dest, comm::HandlerId handler, VertexId row,
+                      const Args&... args) {
+    const auto feature = points_[row];
+    if (dest == comm_->rank()) {
+      comm_->async_omitting(dest, handler, serial::wire_size(feature),
+                            args...);
+    } else {
+      comm_->async(dest, handler, args..., feature);
+    }
+  }
+
+  /// Receiving half of async_with_row(): the feature of `row`, read in
+  /// place from the shard when the message came from this rank, else
+  /// deserialized into scratch (valid until the next row_from()).
+  std::span<const T> row_from(int source, serial::InArchive& ar,
+                              VertexId row) {
+    if (source == comm_->rank()) return points_[row];
+    ar.read_into(scratch_feature_);
+    return scratch_feature_;
+  }
+
   Dist eval(std::span<const T> a, std::span<const T> b) {
     ++distance_evals_;
     comm_->telemetry().add(c_distance_evals_);
@@ -636,11 +668,10 @@ class DnndEngine {
     // Registration order is part of the wire protocol: every rank
     // constructs its engine the same way, so ids line up.
     h_init_req_ = comm_->register_handler(
-        "init_req", [this](int, serial::InArchive& ar) {
+        "init_req", [this](int source, serial::InArchive& ar) {
           const auto u = ar.read<VertexId>();
           const auto v = ar.read<VertexId>();
-          ar.read_into(scratch_feature_);
-          const Dist d = eval(points_[u], scratch_feature_);
+          const Dist d = eval(points_[u], row_from(source, ar, v));
           comm_->async(partition_.owner(v), h_init_rep_, v, u, d);
         });
     h_init_rep_ = comm_->register_handler(
@@ -674,20 +705,18 @@ class DnndEngine {
           const Dist bound =
               config_.distance_pruning ? l1.furthest_distance()
                                        : kInfiniteDistance;
-          const auto feature = points_[u1];
-          comm_->async(partition_.owner(u2), h_type2plus_, u2,
-                       u1, bound,
-                       std::vector<T>(feature.begin(), feature.end()));
+          async_with_row(partition_.owner(u2), h_type2plus_, u1, u2, u1,
+                         bound);
         });
     h_type2plus_ = comm_->register_handler(
-        "type2plus", [this](int, serial::InArchive& ar) {
+        "type2plus", [this](int source, serial::InArchive& ar) {
           const auto u2 = ar.read<VertexId>();
           const auto u1 = ar.read<VertexId>();
           const auto bound = ar.read<Dist>();
-          ar.read_into(scratch_feature_);
+          const auto f1 = row_from(source, ar, u1);
           auto& l2 = lists_.at(u2);
           if (config_.redundant_check_reduction && l2.contains(u1)) return;
-          const Dist d = eval(points_[u2], scratch_feature_);
+          const Dist d = eval(points_[u2], f1);
           updates_ += static_cast<std::uint64_t>(l2.update(u1, d, true));
           // §4.3.3: reply only when u1 could still accept the candidate.
           if (d < bound) {
@@ -705,16 +734,13 @@ class DnndEngine {
         "type1_unopt", [this](int, serial::InArchive& ar) {
           const auto u1 = ar.read<VertexId>();
           const auto u2 = ar.read<VertexId>();
-          const auto feature = points_[u1];
-          comm_->async(partition_.owner(u2), h_type2_unopt_, u2, u1,
-                       std::vector<T>(feature.begin(), feature.end()));
+          async_with_row(partition_.owner(u2), h_type2_unopt_, u1, u2, u1);
         });
     h_type2_unopt_ = comm_->register_handler(
-        "type2_unopt", [this](int, serial::InArchive& ar) {
+        "type2_unopt", [this](int source, serial::InArchive& ar) {
           const auto u2 = ar.read<VertexId>();
           const auto u1 = ar.read<VertexId>();
-          ar.read_into(scratch_feature_);
-          const Dist d = eval(points_[u2], scratch_feature_);
+          const Dist d = eval(points_[u2], row_from(source, ar, u1));
           updates_ += static_cast<std::uint64_t>(lists_.at(u2).update(u1, d, true));
         });
     h_ingest_ = comm_->register_handler(
@@ -724,18 +750,18 @@ class DnndEngine {
           points_.add(id, scratch_feature_);
         });
     h_init_sample_ = comm_->register_handler(
-        "init_sample", [this](int, serial::InArchive& ar) {
+        "init_sample", [this](int source, serial::InArchive& ar) {
           // Dynamic-insert seeding: pick a random local point as the
           // candidate neighbor for the new vertex v (weighted-rank
           // sampling made this rank proportionally likely).
           const auto v = ar.read<VertexId>();
-          ar.read_into(scratch_feature_);
+          const auto fv = row_from(source, ar, v);
           if (points_.empty()) return;
           const std::size_t local =
               rng_.uniform_below(points_.size());
           const VertexId u = points_.id_at(local);
           if (u == v) return;  // rare self-collision: drop this sample
-          const Dist d = eval(points_[u], scratch_feature_);
+          const Dist d = eval(points_[u], fv);
           comm_->async(partition_.owner(v), h_init_rep_, v, u, d);
         });
     h_rev_edge_ = comm_->register_handler(

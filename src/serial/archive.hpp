@@ -35,6 +35,16 @@ void write_varint(std::vector<std::byte>& out, std::uint64_t value);
 /// Reads an unsigned LEB128 varint from [cursor, end); advances cursor.
 std::uint64_t read_varint(const std::byte*& cursor, const std::byte* end);
 
+/// Bytes write_varint() appends for `value`.
+[[nodiscard]] constexpr std::size_t varint_size(std::uint64_t value) noexcept {
+  std::size_t n = 1;
+  while (value >= 0x80) {
+    value >>= 7;
+    ++n;
+  }
+  return n;
+}
+
 class OutArchive;
 class InArchive;
 
@@ -43,6 +53,13 @@ class InArchive;
 template <typename T>
 concept WireTrivial = std::is_trivially_copyable_v<T> &&
                       !std::is_pointer_v<std::remove_cvref_t<T>>;
+
+/// Bytes OutArchive::write_span() appends for `values`.
+template <WireTrivial T>
+[[nodiscard]] constexpr std::size_t wire_size(
+    std::span<const T> values) noexcept {
+  return varint_size(values.size()) + values.size_bytes();
+}
 
 /// Growable output buffer with typed append operations.
 class OutArchive {
@@ -175,7 +192,8 @@ class InArchive {
 //
 // The communicator serializes handler arguments with pack(); handlers get
 // them back with unpack<Args...>(). Supported argument types: WireTrivial
-// values, std::vector<WireTrivial>, and std::string.
+// values, std::vector<WireTrivial>, std::span<const WireTrivial> (pack
+// only) and std::string.
 
 namespace detail {
 
@@ -195,6 +213,17 @@ struct Codec<std::vector<T>> {
   }
   static std::vector<T> decode(InArchive& ar) {
     return ar.template read_vector<T>();
+  }
+};
+
+/// Encode-only: packs a borrowed row with the std::vector<T> wire bytes, so
+/// a sender need not copy it into a vector first. Receivers decode the
+/// vector form (or read_into() a scratch buffer); a span into a packed
+/// datagram would be misaligned for multi-byte T.
+template <WireTrivial T>
+struct Codec<std::span<const T>> {
+  static void encode(OutArchive& ar, std::span<const T> v) {
+    ar.write_span(v);
   }
 };
 

@@ -98,6 +98,28 @@ TEST(Communicator, BuffersUntilThresholdThenFlushes) {
   EXPECT_TRUE(env.world().quiescent());
 }
 
+TEST(Communicator, OmittedBytesCountTowardFlushButAreNotSent) {
+  // A message that leaves out a payload its destination already holds
+  // must split datagrams exactly where the full message would, so the
+  // delivery schedule does not depend on what was left out.
+  Config cfg{.num_ranks = 1};
+  cfg.send_buffer_bytes = 64;
+  Environment env(cfg);
+  const HandlerId h = env.comm(0).register_handler(
+      "noop", [](int, dnnd::serial::InArchive& ar) { ar.read<std::uint8_t>(); });
+  // 1 B envelope + 1 B argument + 30 B omitted: the third message finds
+  // 64 counted bytes and flushes the first two.
+  for (std::uint8_t i = 0; i < 3; ++i) {
+    env.comm(0).async_omitting(0, h, 30, i);
+  }
+  EXPECT_EQ(env.world().datagrams_posted(), 1u);
+  env.quiesce();
+  EXPECT_EQ(env.world().datagrams_posted(), 2u);
+  const auto& counters = env.comm(0).stats().handler(h);
+  EXPECT_EQ(counters.local_messages, 3u);
+  EXPECT_EQ(counters.local_bytes, 6u);  // only the packed bytes
+}
+
 TEST(Communicator, ZeroBufferSendsImmediately) {
   Config cfg{.num_ranks = 2};
   cfg.send_buffer_bytes = 0;

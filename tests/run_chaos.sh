@@ -13,6 +13,11 @@
 #                                      # "replay:" trace line; kill plans
 #                                      # such as kill_r0_mid select the
 #                                      # recovery matrix the same way)
+#   tests/run_chaos.sh -r 20           # run each test up to 20 times,
+#                                      # stopping a test at its first
+#                                      # failure (ctest --repeat
+#                                      # until-fail:20): reproduces
+#                                      # schedule-dependent flakes
 #   DNND_SANITIZE=thread tests/run_chaos.sh
 #                                      # same matrix under TSan
 #
@@ -25,12 +30,20 @@ cd "$(dirname "$0")/.."
 
 seed=""
 plan=""
-while getopts "s:p:h" opt; do
+repeat=""
+while getopts "s:p:r:h" opt; do
   case "$opt" in
     s) seed="$OPTARG" ;;
     p) plan="$OPTARG" ;;
+    r)
+      if [[ ! "$OPTARG" =~ ^[1-9][0-9]*$ ]]; then
+        echo "run_chaos: -r needs a positive repeat count, got '$OPTARG'" >&2
+        exit 2
+      fi
+      repeat="$OPTARG"
+      ;;
     h)
-      sed -n '2,19p' "$0"
+      sed -n '2,26p' "$0"
       exit 0
       ;;
     *) exit 2 ;;
@@ -51,5 +64,9 @@ cmake --build "$build_dir" -j --target test_chaos test_fault_injection \
 if [[ -n "$seed" ]]; then export DNND_CHAOS_SEED="$seed"; fi
 if [[ -n "$plan" ]]; then export DNND_CHAOS_PLAN="$plan"; fi
 
+ctest_args=(-L 'chaos|recovery' --no-tests=error --output-on-failure
+            -j "$(nproc)")
+if [[ -n "$repeat" ]]; then ctest_args+=(--repeat "until-fail:$repeat"); fi
+
 cd "$build_dir"
-ctest -L 'chaos|recovery' --no-tests=error --output-on-failure -j "$(nproc)"
+ctest "${ctest_args[@]}"

@@ -2,8 +2,10 @@
 // failure modes (truncation, overflow).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,6 +41,14 @@ TEST(Varint, SmallValuesAreOneByte) {
   std::vector<std::byte> buf;
   dnnd::serial::write_varint(buf, 42);
   EXPECT_EQ(buf.size(), 1u);
+}
+
+TEST(Varint, SizeMatchesEncoding) {
+  for (const std::uint64_t v : {0ULL, 127ULL, 128ULL, 16384ULL, ~0ULL}) {
+    std::vector<std::byte> buf;
+    dnnd::serial::write_varint(buf, v);
+    EXPECT_EQ(dnnd::serial::varint_size(v), buf.size()) << v;
+  }
 }
 
 TEST(Varint, TruncatedThrows) {
@@ -148,6 +158,28 @@ TEST(Archive, PackUnpackMixedArguments) {
   EXPECT_EQ(s, "abc");
   EXPECT_EQ(v, (std::vector<float>{1.5f, 2.5f}));
   EXPECT_EQ(b, 9);
+  EXPECT_TRUE(in.empty());
+}
+
+TEST(Archive, SpanPacksSameBytesAsVector) {
+  // Senders pack borrowed rows as spans; receivers decode the vector form,
+  // so the two codecs must agree byte for byte.
+  const std::vector<float> row{1.5f, -2.0f, 3.25f};
+  OutArchive from_vector;
+  dnnd::serial::pack(from_vector, std::uint32_t{4}, row);
+  OutArchive from_span;
+  dnnd::serial::pack(from_span, std::uint32_t{4},
+                     std::span<const float>(row));
+  EXPECT_TRUE(std::ranges::equal(from_span.bytes(), from_vector.bytes()));
+  EXPECT_EQ(from_span.size(),
+            sizeof(std::uint32_t) +
+                dnnd::serial::wire_size(std::span<const float>(row)));
+
+  InArchive in(from_span.bytes());
+  const auto [id, decoded] =
+      dnnd::serial::unpack<std::uint32_t, std::vector<float>>(in);
+  EXPECT_EQ(id, 4u);
+  EXPECT_EQ(decoded, row);
   EXPECT_TRUE(in.empty());
 }
 
